@@ -3,6 +3,7 @@
 //! deliberately skips), asserting exact rule names and file:line
 //! positions, allow-annotation suppression, and the CLI's exit codes.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -143,6 +144,52 @@ fn workspace_config_parses_and_orders_the_real_hierarchy() {
     assert!(rank("durability.snapshot_gate") < rank("store.db.tables"));
     // Sorted by rank, ranks unique (parse() enforces both).
     assert!(cfg.locks.windows(2).all(|w| w[0].rank < w[1].rank));
+}
+
+/// `(name, rank)` pairs of the runtime table: every
+/// `: LockRank = ("name", rank)` constant in `lock_rank.rs`.
+fn runtime_ranks(src: &str) -> BTreeSet<(String, u32)> {
+    src.split(": LockRank = (")
+        .skip(1)
+        .map(|rest| {
+            let (tuple, _) = rest.split_once(')').expect("closing paren");
+            let (name, rank) = tuple.split_once(',').expect("name, rank");
+            let name = name.trim().trim_matches('"').to_owned();
+            (name, rank.trim().parse().expect("numeric rank"))
+        })
+        .collect()
+}
+
+/// `(name, rank)` pairs of the `| rank | `name` | ... |` rows in the
+/// DESIGN.md rank table.
+fn documented_ranks(doc: &str) -> BTreeSet<(String, u32)> {
+    let table = doc
+        .split_once("## Lock-rank hierarchy")
+        .expect("rank table section")
+        .1;
+    table
+        .lines()
+        .filter_map(|line| {
+            let mut cells = line.split('|').skip(1).map(str::trim);
+            let rank = cells.next()?.parse().ok()?;
+            let name = cells.next()?.trim_matches('`').to_owned();
+            Some((name, rank))
+        })
+        .collect()
+}
+
+#[test]
+fn lock_rank_lists_agree() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect(rel);
+    let runtime = runtime_ranks(&read("crates/common/src/lock_rank.rs"));
+    let cfg = Config::load(&root.join("analyze/lock-order.toml")).expect("lock-order.toml");
+    let configured: BTreeSet<(String, u32)> =
+        cfg.locks.iter().map(|l| (l.name.clone(), l.rank)).collect();
+    let documented = documented_ranks(&read("crates/analyze/DESIGN.md"));
+    assert!(!runtime.is_empty());
+    assert_eq!(runtime, configured, "lock_rank.rs vs lock-order.toml");
+    assert_eq!(runtime, documented, "lock_rank.rs vs analyze/DESIGN.md");
 }
 
 // --- CLI exit codes, against throwaway mini-workspaces -----------------

@@ -3,13 +3,12 @@
 //! throughput of >150 K queries or invalidations per second for each
 //! Redis instance."
 //!
-//! Benchmarks the KV-backed EBF's mixed read/invalidate workload and the
-//! in-memory EBF for comparison.
+//! Benchmarks the server-side EBF's mixed read/invalidate workload; the
+//! origin keeps one such filter per table (`PartitionedEbf`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use quaestor_bloom::{BloomParams, ExpiringBloomFilter, KvExpiringBloomFilter};
+use quaestor_bloom::{BloomParams, ExpiringBloomFilter};
 use quaestor_common::SystemClock;
-use quaestor_kv::KvStore;
 
 fn ebf_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("ebf_throughput");
@@ -17,30 +16,6 @@ fn ebf_throughput(c: &mut Criterion) {
 
     group.bench_function("in_memory_mixed_op", |b| {
         let ebf = ExpiringBloomFilter::new(BloomParams::PAPER_DEFAULT, SystemClock::shared());
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            let key = format!("q{}", i % 10_000);
-            match i % 3 {
-                0 => ebf.report_read(&key, 60_000),
-                1 => {
-                    ebf.invalidate(&key);
-                }
-                _ => {
-                    ebf.is_stale(&key);
-                }
-            }
-        })
-    });
-
-    group.bench_function("kv_backed_mixed_op", |b| {
-        let kv = KvStore::new();
-        let ebf = KvExpiringBloomFilter::new(
-            kv,
-            "bench",
-            BloomParams::PAPER_DEFAULT,
-            SystemClock::shared(),
-        );
         let mut i = 0u64;
         b.iter(|| {
             i += 1;

@@ -22,9 +22,6 @@
 //!   In this way, only non-expired queries are added to the Bloom filter
 //!   upon invalidation. After their TTL is expired, queries are removed
 //!   from the Bloom filter."
-//! * [`KvExpiringBloomFilter`] — the distributed variant: counters and the
-//!   TTL ledger live in a shared `quaestor_kv::KvStore` (the paper's
-//!   Redis), so several DBaaS servers share one EBF.
 //! * [`PartitionedEbf`] — per-table EBF instances with a union read
 //!   ("the aggregated EBF is constructed by a union over the EBF
 //!   partitions through a bitwise OR-operation").
@@ -32,11 +29,9 @@
 pub mod counting;
 pub mod ebf;
 pub mod filter;
-pub mod kv_ebf;
 pub mod partitioned;
 
 pub use counting::CountingBloomFilter;
 pub use ebf::{EbfStats, ExpiringBloomFilter};
 pub use filter::{BloomFilter, BloomParams};
-pub use kv_ebf::KvExpiringBloomFilter;
 pub use partitioned::PartitionedEbf;

@@ -81,8 +81,7 @@ pub struct ReplicatedService {
     route: Mutex<RouterState>,
     /// Round-robin read cursor (relaxed; it only spreads load).
     cursor: AtomicU64,
-    /// How many failovers this router has executed (metrics). Also
-    /// published on the global registry as `client.failover.elections`.
+    /// How many failovers this router has executed.
     failovers: Counter,
 }
 
@@ -107,10 +106,6 @@ impl ReplicatedService {
                 "ReplicatedService needs at least one endpoint".into(),
             ));
         }
-        // A per-instance counter, re-bound on the global registry so the
-        // newest router's elections show up in `client.failover.elections`.
-        let failovers = Counter::default();
-        quaestor_obs::registry().bind_counter("client.failover.elections", &failovers);
         let primary = endpoints
             .iter()
             .position(|ep| {
@@ -133,7 +128,7 @@ impl ReplicatedService {
                 lock_rank::CLIENT_FAILOVER_ROUTER.1,
             ),
             cursor: AtomicU64::new(0),
-            failovers,
+            failovers: Counter::default(),
         }))
     }
 

@@ -80,11 +80,6 @@ pub const NET_CLIENT_SLOT: LockRank = ("net.client.slot", 70);
 pub const NET_CLIENT_WRITER: LockRank = ("net.client.conn.writer", 74);
 /// Client-side pending-response map (acquired under the write half).
 pub const NET_CLIENT_PENDING: LockRank = ("net.client.conn.pending", 78);
-/// Pool-wide retired-connection latency histogram.
-pub const NET_CLIENT_RETIRED_LATENCY: LockRank = ("net.client.retired_latency", 82);
-/// Per-connection latency histogram (merged into `retired_latency` while
-/// that lock is held, so it ranks above it).
-pub const NET_CLIENT_LATENCY: LockRank = ("net.client.conn.latency", 86);
 /// `ReplNode::role_state` — replication role, epoch, and fence LSN. Held
 /// across promotion, which attaches the durability sink (`store.sink`,
 /// rank 40) and persists the epoch file, so it ranks below every store

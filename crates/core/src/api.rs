@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use quaestor_bloom::BloomFilter;
-use quaestor_common::{stable_bucket, Error, Histogram, Result, Timestamp, Version};
+use quaestor_common::{stable_bucket, Error, Result, Timestamp, Version};
 use quaestor_document::{Document, Update};
 use quaestor_obs::{Counter, HistogramHandle, MetricsSnapshot, Registry};
 use quaestor_query::{Query, QueryKey};
@@ -585,9 +585,8 @@ fn service_span_name(kind: &str) -> &'static str {
 ///
 /// Every field is a registry handle: counters live on the layer's own
 /// [`Registry`] under `service.*` names, latency histograms under
-/// `service.latency.<kind>`. The fields keep their historical atomic
-/// API ([`Counter`] carries `load`/`store`/`fetch_add` shims), so call
-/// sites written against the pre-registry struct compile unchanged.
+/// `service.latency.<kind>`, read through [`ServiceMetrics::registry`]
+/// or a `Request::Metrics` call through the layer.
 #[derive(Debug)]
 pub struct ServiceMetrics {
     /// `GetRecord` calls.
@@ -667,54 +666,9 @@ impl ServiceMetrics {
         }
     }
 
-    /// Snapshot of one request kind's latency histogram (µs), if any
-    /// call of that kind has been observed.
-    pub fn latency(&self, kind: &str) -> Option<Histogram> {
-        let h = self.latencies[latency_slot(kind)?].snapshot();
-        if h.count() == 0 {
-            return None;
-        }
-        Some(h)
-    }
-
     /// The registry holding every `service.*` series of this instance.
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// `(p50, p95, p99)` latency in microseconds for one request kind.
-    pub fn latency_percentiles(&self, kind: &str) -> Option<(u64, u64, u64)> {
-        // `latency` returns `None` for an empty histogram, so every
-        // quantile below is `Some`; `unwrap_or` keeps this panic-free.
-        self.latency(kind).map(|h| {
-            (
-                h.percentile(0.50).unwrap_or(0),
-                h.percentile(0.95).unwrap_or(0),
-                h.percentile(0.99).unwrap_or(0),
-            )
-        })
-    }
-
-    /// All-kinds latency histogram (µs), merged via
-    /// [`Histogram::merge`] — the same mechanism `RemoteService` uses to
-    /// aggregate per-connection histograms.
-    pub fn merged_latency(&self) -> Histogram {
-        let mut merged = Histogram::new();
-        for slot in &self.latencies {
-            merged.merge(&slot.snapshot());
-        }
-        merged
-    }
-
-    /// Merge another metrics object's latency observations into this
-    /// one (aggregation across layers, shards, or processes).
-    pub fn merge_latency_from(&self, other: &ServiceMetrics) {
-        for (ours, theirs) in self.latencies.iter().zip(&other.latencies) {
-            let theirs = theirs.snapshot();
-            if theirs.count() > 0 {
-                ours.merge_from(&theirs);
-            }
-        }
     }
 }
 
@@ -974,7 +928,6 @@ mod tests {
     use quaestor_common::ManualClock;
     use quaestor_document::{doc, Value};
     use quaestor_query::Filter;
-    use std::sync::atomic::Ordering;
 
     fn server() -> Arc<QuaestorServer> {
         QuaestorServer::with_defaults(ManualClock::new())
@@ -1154,17 +1107,17 @@ mod tests {
         ])
         .unwrap();
         let m = layer.metrics();
-        assert_eq!(m.writes.load(Ordering::Relaxed), 1);
-        assert_eq!(m.record_reads.load(Ordering::Relaxed), 2);
-        assert_eq!(m.queries.load(Ordering::Relaxed), 1);
-        assert_eq!(m.batches.load(Ordering::Relaxed), 1);
-        assert_eq!(m.batched_ops.load(Ordering::Relaxed), 2);
-        assert_eq!(m.errors.load(Ordering::Relaxed), 1);
+        assert_eq!(m.writes.get(), 1);
+        assert_eq!(m.record_reads.get(), 2);
+        assert_eq!(m.queries.get(), 1);
+        assert_eq!(m.batches.get(), 1);
+        assert_eq!(m.batched_ops.get(), 2);
+        assert_eq!(m.errors.get(), 1);
         assert_eq!(m.total_calls(), 5);
     }
 
     #[test]
-    fn metrics_layer_records_per_kind_latency_histograms() {
+    fn metrics_layer_records_per_kind_latency() {
         let s = server();
         let layer = MetricsLayer::new(s);
         let svc: &dyn Service = &*layer;
@@ -1173,19 +1126,17 @@ mod tests {
                 .unwrap();
         }
         svc.get_record("t", "r0").unwrap();
-        let m = layer.metrics();
-        let writes = m.latency("insert").expect("inserts were observed");
-        assert_eq!(writes.count(), 10);
-        let (p50, p95, p99) = m.latency_percentiles("insert").unwrap();
-        assert!(p50 <= p95 && p95 <= p99);
-        assert!(m.latency("get_record").unwrap().count() == 1);
-        assert!(m.latency("query").is_none(), "no queries ran");
-        assert_eq!(m.merged_latency().count(), 11);
-        // Aggregation across metrics objects (shards / connections).
-        let other = ServiceMetrics::default();
-        other.record_latency("insert", 5);
-        m.merge_latency_from(&other);
-        assert_eq!(m.latency("insert").unwrap().count(), 11);
+        let snap = layer.metrics().registry().snapshot();
+        let inserts = snap.histogram("service.latency.insert").unwrap();
+        assert_eq!(inserts.count, 10);
+        assert!(inserts.p50 <= inserts.p95 && inserts.p95 <= inserts.p99);
+        let count = |kind: &str| {
+            snap.histogram(&format!("service.latency.{kind}"))
+                .unwrap()
+                .count
+        };
+        assert_eq!(count("get_record"), 1);
+        assert_eq!(count("query"), 0, "no queries ran");
     }
 
     #[test]

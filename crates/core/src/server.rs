@@ -17,15 +17,14 @@ use quaestor_ttl::{
 use quaestor_webcache::InvalidationCache;
 
 use crate::config::ServerConfig;
-use crate::metrics::{bump, ServerMetrics};
+use crate::metrics::ServerMetrics;
 use crate::response::{id_list_body, object_list_body, result_etag, QueryResponse, RecordResponse};
 
 /// The origin server of Figure 3: database service + cache coherence
 /// machinery.
 ///
-/// Thread-safe; in a multi-node deployment several `QuaestorServer`s would
-/// share the KV-backed EBF and the database — here one instance stands for
-/// the server tier and concurrency is exercised by threads.
+/// Thread-safe; one instance stands for the server tier and concurrency
+/// is exercised by threads.
 pub struct QuaestorServer {
     config: ServerConfig,
     db: Arc<Database>,
@@ -87,7 +86,7 @@ impl QuaestorServer {
             durability,
             replica: std::sync::atomic::AtomicBool::new(false),
             clock,
-            metrics: ServerMetrics::default(),
+            metrics: ServerMetrics::new(db.query_stats()),
             config,
             db,
         }
@@ -339,43 +338,32 @@ impl QuaestorServer {
         self.db.declare_index(table, path, kind);
     }
 
-    /// Server metrics. The InvaliDB matching counters are refreshed here,
-    /// on the read path: summing them takes every matching-node lock in
-    /// the grid, which must stay off the per-write hot path. The query
-    /// planner's access-path counters are copied from the store the same
-    /// way.
+    /// Server metrics.
     pub fn metrics(&self) -> &ServerMetrics {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.metrics
-            .match_evaluations
-            .store(self.invalidb.total_evaluations(), Relaxed);
-        self.metrics
-            .match_evaluations_pruned
-            .store(self.invalidb.total_evaluations_skipped(), Relaxed);
-        let (probes, ranges, fulls, topk) = self.db.query_stats().snapshot();
-        self.metrics.query_index_probes.store(probes, Relaxed);
-        self.metrics.query_range_scans.store(ranges, Relaxed);
-        self.metrics.query_full_scans.store(fulls, Relaxed);
-        self.metrics.query_topk_short_circuits.store(topk, Relaxed);
-        let (card_est, card_actual) = self.db.query_stats().cardinality();
-        self.metrics.query_card_estimated.store(card_est, Relaxed);
-        self.metrics.query_card_actual.store(card_actual, Relaxed);
         &self.metrics
     }
 
-    /// The node's unified registry snapshot — the [`Request::Metrics`]
-    /// payload. Goes through [`Self::metrics`] first so the copied
-    /// planner/matcher counters are fresh.
+    /// The node's registry snapshot — the [`Request::Metrics`] payload.
+    /// The two InvaliDB grid totals join it here, at scrape time:
+    /// summing them takes every matching-node lock in the grid, which
+    /// must stay off the per-write path.
     ///
     /// [`Request::Metrics`]: crate::Request::Metrics
     pub fn metrics_snapshot(&self) -> quaestor_obs::MetricsSnapshot {
-        self.metrics().registry().snapshot()
-    }
-
-    /// Internal counter access without the grid sweep — for bump sites on
-    /// hot paths (e.g. transaction commit under the commit lock).
-    pub(crate) fn metrics_raw(&self) -> &ServerMetrics {
-        &self.metrics
+        let mut snap = self.metrics.registry().snapshot();
+        snap.counters.extend([
+            (
+                "server.match_evaluations".to_owned(),
+                self.invalidb.total_evaluations(),
+            ),
+            (
+                "server.match_evaluations_pruned".to_owned(),
+                self.invalidb.total_evaluations_skipped(),
+            ),
+        ]);
+        // Registry snapshots list counters by name; keep that order.
+        snap.counters.sort_unstable();
+        snap
     }
 
     /// Configuration in effect.
@@ -400,7 +388,7 @@ impl QuaestorServer {
         let cdns = self.cdns.read();
         for cdn in cdns.iter() {
             if cdn.purge(key.as_str()) {
-                bump(&self.metrics.purges);
+                self.metrics.purges.inc();
             }
         }
     }
@@ -455,13 +443,13 @@ impl QuaestorServer {
     /// Serve the flat EBF (union over table partitions) with its
     /// generation timestamp — step 1 of the §3.1 request flow.
     pub fn ebf_snapshot(&self) -> (BloomFilter, Timestamp) {
-        bump(&self.metrics.ebf_snapshots);
+        self.metrics.ebf_snapshots.inc();
         self.ebf.union_snapshot()
     }
 
     /// Serve a single table's EBF partition (the lower-FPR client option).
     pub fn ebf_partition_snapshot(&self, table: &str) -> (BloomFilter, Timestamp) {
-        bump(&self.metrics.ebf_snapshots);
+        self.metrics.ebf_snapshots.inc();
         self.ebf.partition_snapshot(table)
     }
 
@@ -469,7 +457,7 @@ impl QuaestorServer {
 
     /// Origin read of one record (cache miss or revalidation).
     pub fn get_record(&self, table: &str, id: &str) -> Result<RecordResponse> {
-        bump(&self.metrics.record_reads);
+        self.metrics.record_reads.inc();
         let t = self.db.table(table)?;
         let rec = t.get(id).ok_or_else(|| quaestor_common::Error::NotFound {
             table: table.to_owned(),
@@ -502,7 +490,7 @@ impl QuaestorServer {
     /// of the §3.1 request flow: evaluate, decide representation, estimate
     /// TTL, register with InvaliDB, report to the EBF, reply cacheably.
     pub fn query(&self, query: &Query) -> Result<QueryResponse> {
-        bump(&self.metrics.query_reads);
+        self.metrics.query_reads.inc();
         let now = self.now();
         let key = QueryKey::of(query);
         // Watermark BEFORE evaluation: anything ingested after this point
@@ -525,7 +513,7 @@ impl QuaestorServer {
                 true
             }
             AdmissionDecision::Rejected => {
-                bump(&self.metrics.capacity_rejections);
+                self.metrics.capacity_rejections.inc();
                 false
             }
         };
@@ -723,14 +711,14 @@ impl QuaestorServer {
     /// write rate, invalidate the record key, feed InvaliDB, and apply
     /// every resulting query invalidation.
     pub(crate) fn after_write(&self, event: &WriteEvent) {
-        bump(&self.metrics.writes);
+        self.metrics.writes.inc();
         let now = self.now();
         self.sampler
             .record_write(&Self::record_sample_key(&event.table, &event.id), now);
         // Record-level invalidation.
         let rkey = QueryKey::record(&event.table, &event.id);
         if self.ebf.invalidate(&event.table, rkey.as_str()) {
-            bump(&self.metrics.record_invalidations);
+            self.metrics.record_invalidations.inc();
         }
         self.purge(&rkey);
         // Query-level invalidations via InvaliDB.
@@ -766,7 +754,7 @@ impl QuaestorServer {
         if !invalidates {
             return;
         }
-        bump(&self.metrics.query_invalidations);
+        self.metrics.query_invalidations.inc();
         // Table is encoded in the query key's table; use the notification
         // query key against that table's EBF partition.
         self.ebf.invalidate(n.query.table(), n.query.as_str());
@@ -851,6 +839,62 @@ mod tests {
     }
 
     #[test]
+    fn scrape_names_exactly_the_server_counters() {
+        let (s, _) = server();
+        s.insert("posts", "p1", tagged("p1", &["example"])).unwrap();
+        s.get_record("posts", "p1").unwrap();
+        s.query(&Query::table("posts").filter(Filter::contains("tags", "example")))
+            .unwrap();
+        // An equality query the write below cannot match: InvaliDB's
+        // predicate index prunes it instead of evaluating it.
+        s.query(&Query::table("posts").filter(Filter::eq("kind", "draft")))
+            .unwrap();
+        let mut tx = crate::Transaction::new();
+        tx.update("posts", "p1", Update::new().push("tags", "more"));
+        s.commit(tx).unwrap();
+
+        let snap = s.metrics_snapshot();
+        let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "server.capacity_rejections",
+                "server.ebf_snapshots",
+                "server.match_evaluations",
+                "server.match_evaluations_pruned",
+                "server.purges",
+                "server.query_card_actual",
+                "server.query_card_estimated",
+                "server.query_full_scans",
+                "server.query_index_probes",
+                "server.query_invalidations",
+                "server.query_range_scans",
+                "server.query_reads",
+                "server.query_topk_short_circuits",
+                "server.record_invalidations",
+                "server.record_reads",
+                "server.tx_aborts",
+                "server.tx_commits",
+                "server.writes",
+            ]
+        );
+        assert!(snap.gauges.is_empty() && snap.histograms.is_empty());
+        for name in [
+            "server.record_reads",
+            "server.query_reads",
+            "server.writes",
+            "server.tx_commits",
+            "server.match_evaluations",
+            "server.match_evaluations_pruned",
+            "server.query_full_scans",
+            "server.query_card_estimated",
+            "server.query_card_actual",
+        ] {
+            assert!(snap.counter(name).unwrap() > 0, "{name} stayed 0");
+        }
+    }
+
+    #[test]
     fn unread_record_write_is_not_inserted() {
         let (s, _) = server();
         s.insert("posts", "p1", tagged("p1", &["x"])).unwrap();
@@ -883,12 +927,7 @@ mod tests {
             flat.contains(resp.key.as_str().as_bytes()),
             "query key must be stale in the EBF"
         );
-        assert_eq!(
-            s.metrics()
-                .query_invalidations
-                .load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
+        assert_eq!(s.metrics().query_invalidations.get(), 1);
     }
 
     #[test]
@@ -924,12 +963,7 @@ mod tests {
         s.update("posts", "p1", &Update::new().pull("tags", "example"))
             .unwrap();
         assert_eq!(cdn.len(), 0, "stale result purged from the CDN");
-        assert!(
-            s.metrics()
-                .purges
-                .load(std::sync::atomic::Ordering::Relaxed)
-                >= 1
-        );
+        assert!(s.metrics().purges.get() >= 1);
     }
 
     #[test]
@@ -1121,17 +1155,11 @@ mod tests {
             .sort_by("missing", Order::Asc)
             .limit(2);
         s.query(&topk).unwrap();
-        let m = s.metrics();
-        let get = |name: &str| {
-            m.snapshot()
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, v)| *v)
-                .unwrap()
-        };
-        assert_eq!(get("query_range_scans"), 1);
-        assert!(get("query_topk_short_circuits") >= 1);
-        assert!(get("query_full_scans") >= 1);
+        let snap = s.metrics_snapshot();
+        let get = |name: &str| snap.counter(name).unwrap();
+        assert_eq!(get("server.query_range_scans"), 1);
+        assert!(get("server.query_topk_short_circuits") >= 1);
+        assert!(get("server.query_full_scans") >= 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -17,7 +17,6 @@ use parking_lot::Mutex;
 use quaestor_common::{lock_rank, Error, Result, Version};
 use quaestor_document::{Document, Update};
 
-use crate::metrics::bump;
 use crate::server::QuaestorServer;
 
 /// A buffered transactional write.
@@ -125,7 +124,7 @@ impl QuaestorServer {
             let t = self.database().table(table)?;
             let current = t.get(id).map(|r| r.version).unwrap_or(0);
             if current != *version {
-                bump(&self.metrics_raw().tx_aborts);
+                self.metrics().tx_aborts.inc();
                 return Err(Error::TransactionAborted(format!(
                     "read of '{table}/{id}' observed v{version}, now v{current}"
                 )));
@@ -145,7 +144,7 @@ impl QuaestorServer {
                 }
             }
         }
-        bump(&self.metrics_raw().tx_commits);
+        self.metrics().tx_commits.inc();
         Ok(())
     }
 }
@@ -209,12 +208,7 @@ mod tests {
         let mut tx = Transaction::new();
         tx.insert("t", "x", doc! { "n" => 1 });
         s.commit(tx).unwrap();
-        assert_eq!(
-            s.metrics()
-                .tx_commits
-                .load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
+        assert_eq!(s.metrics().tx_commits.get(), 1);
     }
 
     #[test]

@@ -1,23 +1,11 @@
-//! In-memory Redis substitute.
+//! Publish/subscribe channels.
 //!
-//! The paper uses Redis in three roles (§3.3, §4.1, §6.1):
-//!
-//! 1. Backing store for the **distributed Expiring Bloom Filter**: "all
-//!    DBaaS servers communicate with the in-memory key-value store Redis,
-//!    which holds the counting Bloom Filter and the tracked expirations".
-//! 2. **Message queues** between Quaestor and InvaliDB.
-//! 3. The Redis-backed **active list** of currently cached queries.
-//!
-//! [`KvStore`] reproduces the required primitive set: string keys with
-//! per-key expiration, atomic integer counters, hashes with atomic field
-//! increments (the counting Bloom filter layout), FIFO lists (queues) and
-//! pub/sub. All operations are linearizable per shard (a sharded mutex,
-//! mirroring Redis's single-threaded-per-instance execution model) and a
-//! [`KvStats`] counter tracks throughput for the §3.3 capacity claim
-//! (>150 k ops/s per instance).
+//! The paper uses Redis message queues between Quaestor and InvaliDB
+//! (§4.1) and serves clients' query change streams over websockets
+//! (§3.2). [`PubSub`] is the in-process fan-out bus that stands in for
+//! them: it carries the server's per-query change streams and the remote
+//! client's materialised stream subscriptions.
 
 pub mod pubsub;
-pub mod store;
 
 pub use pubsub::{PubSub, Subscription};
-pub use store::{KvStats, KvStore, KvValue};

@@ -16,9 +16,6 @@
 //!   reached the wire is *never* silently retried — writes are not
 //!   idempotent, so the ambiguity is the caller's to resolve (the
 //!   `Error::Net` docs say exactly that).
-//! * **Latency** — every completed call is recorded in a per-connection
-//!   microsecond histogram; [`RemoteService::latency_histogram`] merges
-//!   them (live and retired connections) for p50/p95/p99 queries.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
@@ -29,7 +26,7 @@ use std::time::{Duration, Instant};
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
-use quaestor_common::{lock_rank, Error, FxHashMap, Histogram, Result};
+use quaestor_common::{lock_rank, Error, FxHashMap, Result};
 use quaestor_core::{Request, Response, Service};
 use quaestor_kv::PubSub;
 
@@ -93,8 +90,6 @@ pub struct RemoteService {
     /// Local bus that remote change streams are materialized from:
     /// `StreamPush` frames publish into `stream-<request id>` channels.
     bus: Arc<PubSub>,
-    /// Latency of calls on connections that have since been torn down.
-    retired_latency: Arc<Mutex<Histogram>>,
     /// Resolved jitter seed (config's, or a random per-pool draw).
     jitter_seed: u64,
     /// Monotone draw counter: each backoff sleep mixes it with the seed,
@@ -118,7 +113,6 @@ struct Conn {
     stream: TcpStream,
     pending: Mutex<FxHashMap<u64, Sender<Result<WireResponse>>>>,
     alive: AtomicBool,
-    latency_us: Mutex<Histogram>,
 }
 
 impl Conn {
@@ -180,11 +174,6 @@ impl RemoteService {
             next_slot: AtomicUsize::new(0),
             next_id: AtomicU64::new(1),
             bus: PubSub::new(),
-            retired_latency: Arc::new(Mutex::with_rank(
-                Histogram::new(),
-                lock_rank::NET_CLIENT_RETIRED_LATENCY.0,
-                lock_rank::NET_CLIENT_RETIRED_LATENCY.1,
-            )),
             jitter_seed: config.reconnect_jitter_seed.unwrap_or_else(|| {
                 use std::hash::{BuildHasher, Hasher};
                 std::collections::hash_map::RandomState::new()
@@ -208,26 +197,8 @@ impl RemoteService {
         for slot in &self.slots {
             if let Some(conn) = slot.lock().take() {
                 conn.teardown();
-                self.retire_latency(&conn);
             }
         }
-    }
-
-    /// Merged call-latency histogram (microseconds) across all pooled
-    /// connections, past and present.
-    pub fn latency_histogram(&self) -> Histogram {
-        let mut merged = self.retired_latency.lock().clone();
-        for slot in &self.slots {
-            // analyze: allow(lock-order) retired_latency guard above is a statement temporary, dropped before any slot is taken
-            if let Some(conn) = &*slot.lock() {
-                merged.merge(&conn.latency_us.lock());
-            }
-        }
-        merged
-    }
-
-    fn retire_latency(&self, conn: &Conn) {
-        self.retired_latency.lock().merge(&conn.latency_us.lock());
     }
 
     /// Open one connection and start its reader thread.
@@ -252,11 +223,6 @@ impl RemoteService {
                 lock_rank::NET_CLIENT_PENDING.1,
             ),
             alive: AtomicBool::new(true),
-            latency_us: Mutex::with_rank(
-                Histogram::new(),
-                lock_rank::NET_CLIENT_LATENCY.0,
-                lock_rank::NET_CLIENT_LATENCY.1,
-            ),
         });
         let conn2 = conn.clone();
         let bus = self.bus.clone();
@@ -273,10 +239,10 @@ impl RemoteService {
     ///
     /// The slot mutex is held only for the check-and-install moments,
     /// never across a connect attempt or a backoff sleep — callers that
-    /// share a dead slot reconnect concurrently (and `disconnect_all` /
-    /// `latency_histogram` never stall behind a retry loop). If two
-    /// callers race to repopulate a slot, the loser's connection is torn
-    /// down and the winner's is shared.
+    /// share a dead slot reconnect concurrently (and `disconnect_all`
+    /// never stalls behind a retry loop). If two callers race to
+    /// repopulate a slot, the loser's connection is torn down and the
+    /// winner's is shared.
     fn get_conn(&self, deadline: Instant) -> Result<Arc<Conn>> {
         let idx = self.next_slot.fetch_add(1, Ordering::Relaxed) % self.slots.len();
         let slot = &self.slots[idx];
@@ -289,7 +255,6 @@ impl RemoteService {
                         return Ok(conn.clone());
                     }
                     conn.teardown();
-                    self.retire_latency(conn);
                     *guard = None;
                 }
             }
@@ -304,7 +269,6 @@ impl RemoteService {
                             return Ok(existing.clone());
                         }
                         existing.teardown();
-                        self.retire_latency(existing);
                     }
                     *guard = Some(conn.clone());
                     return Ok(conn);
@@ -353,8 +317,7 @@ impl Drop for RemoteService {
 
 impl Service for RemoteService {
     fn call(&self, req: Request) -> Result<Response> {
-        let started = Instant::now();
-        let deadline = started + self.config.request_timeout;
+        let deadline = Instant::now() + self.config.request_timeout;
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
 
         // Child span when a trace is active (or a sampled root when
@@ -397,8 +360,8 @@ impl Service for RemoteService {
                 Ok(()) => break conn,
                 Err(e) => {
                     conn.pending.lock().remove(&request_id);
-                    // Tear down but leave the slot to retire the
-                    // connection (and its latency record) exactly once.
+                    // Tear down; the slot drops the dead connection on
+                    // the next pass.
                     conn.teardown();
                     if Instant::now() >= deadline {
                         return Err(net_err("send", e));
@@ -418,9 +381,6 @@ impl Service for RemoteService {
                 )));
             }
         };
-        conn.latency_us
-            .lock()
-            .record(started.elapsed().as_micros() as u64);
         match outcome? {
             WireResponse::Plain(resp) => Ok(resp),
             WireResponse::Stream => match local_sub.take() {

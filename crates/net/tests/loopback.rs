@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use quaestor_common::{Error, ManualClock, Result};
-use quaestor_core::{QuaestorServer, Request, Response, Service, ServiceExt};
+use quaestor_core::{MetricsLayer, QuaestorServer, Request, Response, Service, ServiceExt};
 use quaestor_document::{doc, Update, Value};
 use quaestor_net::{NetServer, RemoteService, RemoteServiceConfig};
 use quaestor_query::{Filter, Query, QueryKey};
@@ -138,8 +138,6 @@ fn pipelined_concurrent_callers_share_one_connection() {
         1,
         "all 800 calls must share the single pooled connection"
     );
-    // The latency histogram saw every call.
-    assert_eq!(svc.latency_histogram().count(), 801);
     server.shutdown();
 }
 
@@ -363,7 +361,7 @@ fn dropping_a_remote_subscription_releases_the_server_side_stream() {
 }
 
 #[test]
-fn latency_histogram_merges_across_connections() {
+fn metrics_layer_times_calls_on_every_pooled_connection() {
     let clock = ManualClock::new();
     let origin = QuaestorServer::with_defaults(clock);
     let server = NetServer::bind("127.0.0.1:0", origin).expect("bind");
@@ -375,16 +373,27 @@ fn latency_histogram_merges_across_connections() {
         },
     )
     .expect("connect");
+    let layer = MetricsLayer::new(svc.clone());
     for i in 0..30 {
-        svc.insert("t", &format!("r{i}"), doc! { "i" => i })
+        layer
+            .insert("t", &format!("r{i}"), doc! { "i" => i })
             .unwrap();
     }
-    let h = svc.latency_histogram();
-    assert_eq!(h.count(), 30);
-    assert!(h.percentile(0.5).unwrap() <= h.percentile(0.99).unwrap());
-    assert!(h.max() > 0, "a real socket round trip takes > 1us");
-    // Histories survive connection teardown (merged into `retired`).
+    let inserts = || {
+        *layer
+            .metrics()
+            .registry()
+            .snapshot()
+            .histogram("service.latency.insert")
+            .unwrap()
+    };
+    let h = inserts();
+    assert_eq!(h.count, 30);
+    assert!(h.p50 <= h.p99);
+    assert!(h.max > 0, "a real socket round trip takes > 1us");
+    // Calls on reconnected slots are timed too.
     svc.disconnect_all();
-    assert_eq!(svc.latency_histogram().count(), 30);
+    layer.insert("t", "after", doc! { "i" => 30 }).unwrap();
+    assert_eq!(inserts().count, 31);
     server.shutdown();
 }

@@ -1,6 +1,6 @@
 //! Observability substrate for the Quaestor workspace.
 //!
-//! Three pillars, all dependency-free (vendored `parking_lot` only):
+//! Two pillars, both dependency-free (vendored `parking_lot` only):
 //!
 //! * [`trace`] — thread-local span stacks with RAII guards, a bounded
 //!   ring-buffer collector, and a 17-byte wire context
@@ -9,11 +9,9 @@
 //!   planner → WAL → replication ship.
 //! * [`metrics`] — named counters/gauges/histograms behind a
 //!   [`Registry`], snapshotted into a [`MetricsSnapshot`] with a stable
-//!   text exposition format. The legacy ad-hoc metric structs
-//!   (`ServerMetrics`, `ServiceMetrics`, `QueryStats`) keep their field
-//!   APIs as thin shims over these handles.
-//! * the process-global [`registry()`] — cross-cutting gauges (e.g.
-//!   replication lag) and counters that have no obvious owner.
+//!   text exposition format. Every series lives on its owner's registry
+//!   (one per server, one per `MetricsLayer`) and is read through that
+//!   owner's `Request::Metrics` answer.
 //!
 //! Tracing is **inert by default**: when sampling is off and no trace is
 //! active, a [`span!`](span) guard is one thread-local check. See
@@ -22,9 +20,7 @@
 pub mod metrics;
 pub mod trace;
 
-pub use metrics::{
-    registry, Counter, Gauge, HistogramHandle, HistogramSummary, MetricsSnapshot, Registry,
-};
+pub use metrics::{Counter, Gauge, HistogramHandle, HistogramSummary, MetricsSnapshot, Registry};
 pub use trace::{
     adopt_span, clear_collector, client_span, current_context, note_handoff, render_trace,
     sample_interval, sampling_enabled, set_sample_interval, set_sampling, span, spans_for,

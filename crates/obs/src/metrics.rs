@@ -2,14 +2,13 @@
 //! registered once and snapshotted anywhere — including across the wire
 //! via `Request::Metrics`.
 //!
-//! Handles are cheap clones of `Arc`-shared state; a struct that used to
-//! hold `AtomicU64` fields holds [`Counter`]s instead and keeps working
-//! unchanged, because [`Counter`] carries `load`/`store`/`fetch_add`
-//! shims with the atomic's signatures.
+//! Handles are cheap clones of `Arc`-shared state, so a component keeps
+//! the handles it writes as fields while its registry snapshots the
+//! same cells.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use quaestor_common::{lock_rank, Histogram};
@@ -39,30 +38,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    // ---- AtomicU64-compatible shims --------------------------------------
-    // The pre-registry metric structs exposed raw `AtomicU64` fields, and
-    // call sites (including the conformance tests) use the atomic API.
-    // Keeping these signatures lets a field migrate to `Counter` without
-    // touching a single caller.
-
-    /// `AtomicU64::load` shim.
-    #[inline]
-    pub fn load(&self, order: Ordering) -> u64 {
-        self.0.load(order)
-    }
-
-    /// `AtomicU64::store` shim.
-    #[inline]
-    pub fn store(&self, value: u64, order: Ordering) {
-        self.0.store(value, order)
-    }
-
-    /// `AtomicU64::fetch_add` shim.
-    #[inline]
-    pub fn fetch_add(&self, n: u64, order: Ordering) -> u64 {
-        self.0.fetch_add(n, order)
     }
 }
 
@@ -117,21 +92,6 @@ impl HistogramHandle {
         self.obs_hist.lock().record(value);
     }
 
-    /// Merge another histogram's observations into this handle.
-    pub fn merge_from(&self, other: &Histogram) {
-        self.obs_hist.lock().merge(other);
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.obs_hist.lock().count()
-    }
-
-    /// A full copy of the underlying histogram.
-    pub fn snapshot(&self) -> Histogram {
-        self.obs_hist.lock().clone()
-    }
-
     /// The exposition summary of the current contents.
     pub fn summary(&self) -> HistogramSummary {
         HistogramSummary::of(&self.obs_hist.lock())
@@ -183,8 +143,7 @@ struct RegistryInner {
 
 /// A set of named metrics. Instances are cheap `Arc` clones; a component
 /// that owns its metrics (one server, one middleware layer) holds its own
-/// registry, and cross-cutting series live on the process-global
-/// [`registry()`].
+/// registry, and its `Request::Metrics` answer snapshots it.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     registry_state: Arc<Mutex<RegistryInner>>,
@@ -223,26 +182,10 @@ impl Registry {
         inner.gauges.entry(name.to_owned()).or_default().clone()
     }
 
-    /// Register (or re-point) `name` at an existing gauge handle.
-    pub fn bind_gauge(&self, name: &str, handle: &Gauge) {
-        self.registry_state
-            .lock()
-            .gauges
-            .insert(name.to_owned(), handle.clone());
-    }
-
     /// Get or register the histogram named `name`.
     pub fn histogram(&self, name: &str) -> HistogramHandle {
         let mut inner = self.registry_state.lock();
         inner.histograms.entry(name.to_owned()).or_default().clone()
-    }
-
-    /// Register (or re-point) `name` at an existing histogram handle.
-    pub fn bind_histogram(&self, name: &str, handle: &HistogramHandle) {
-        self.registry_state
-            .lock()
-            .histograms
-            .insert(name.to_owned(), handle.clone());
     }
 
     /// Snapshot every registered metric, sorted by name.
@@ -266,13 +209,6 @@ impl Registry {
                 .collect(),
         }
     }
-}
-
-/// The process-global registry: cross-cutting metrics with no natural
-/// per-instance owner (replication lag, failover elections).
-pub fn registry() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 /// A point-in-time copy of a registry's metrics — plain data, mergeable
@@ -359,22 +295,6 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_shims_match_atomic_semantics() {
-        let c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.fetch_add(5, Ordering::Relaxed), 5);
-        assert_eq!(c.load(Ordering::Relaxed), 10);
-        c.store(3, Ordering::Relaxed);
-        assert_eq!(c.get(), 3);
-        // Clones share state — the registry handle and the struct field
-        // are the same counter.
-        let c2 = c.clone();
-        c2.inc();
-        assert_eq!(c.get(), 4);
-    }
 
     #[test]
     fn registry_get_or_register_returns_shared_handles() {

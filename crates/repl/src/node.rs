@@ -808,6 +808,7 @@ fn run_session(node: &Arc<ReplNode>, sock: TcpStream, shared: &SessionShared) ->
     conn.send(FrameKind::ReplHelloAck, &ack.encode())?;
     let stopping =
         || node.shutdown.load(Ordering::SeqCst) || node.role_state.lock().role != ReplRole::Primary;
+    let lag = node.server.metrics().registry().gauge("repl.lag_frames");
     let mut cursor = resume;
     loop {
         if stopping() {
@@ -851,9 +852,7 @@ fn run_session(node: &Arc<ReplNode>, sock: TcpStream, shared: &SessionShared) ->
         drop(ship_span);
         let a = Ack::decode(&ack_body)?;
         shared.acked.fetch_max(a.durable_lsn, Ordering::AcqRel);
-        quaestor_obs::registry()
-            .gauge("repl.lag_frames")
-            .set(last.saturating_sub(a.durable_lsn));
+        lag.set(last.saturating_sub(a.durable_lsn));
         cursor = last;
     }
 }
@@ -1297,6 +1296,31 @@ mod tests {
         assert!(!a.is_diverged());
         a.kill();
         b.kill();
+    }
+
+    #[test]
+    fn lag_gauge_is_scraped_per_node() {
+        let shipping = ReplNode::open_primary(scratch_dir("repl-lag-a"), cfg()).unwrap();
+        let alone = ReplNode::open_primary(scratch_dir("repl-lag-b"), cfg()).unwrap();
+        let replica =
+            ReplNode::open_replica(scratch_dir("repl-lag-r"), shipping.repl_addr(), cfg()).unwrap();
+        shipping.insert("t", "a", doc! { "n" => 1 }).unwrap();
+        alone.insert("t", "a", doc! { "n" => 1 }).unwrap();
+        wait_until("replica catch-up", || caught_up(&shipping, &replica));
+        let scrape = |node: &ReplNode| {
+            quaestor_net::RemoteService::connect(
+                node.client_addr(),
+                quaestor_net::RemoteServiceConfig::default(),
+            )
+            .unwrap()
+            .node_metrics()
+            .unwrap()
+        };
+        assert!(scrape(&shipping).gauge("repl.lag_frames").is_some());
+        assert_eq!(scrape(&alone).gauge("repl.lag_frames"), None);
+        replica.kill();
+        alone.kill();
+        shipping.kill();
     }
 
     #[test]

@@ -106,9 +106,8 @@ pub struct QueryPlan {
     pub sort: SortStrategy,
 }
 
-/// Per-database counters of planner decisions, shared by all tables and
-/// surfaced as `ServerMetrics::{query_index_probes, query_range_scans,
-/// query_full_scans, query_topk_short_circuits}`.
+/// Per-database counters of planner decisions, shared by all tables. A
+/// server binds each into its registry as `server.query_*`.
 #[derive(Debug, Default)]
 pub struct QueryStats {
     /// Queries served by a hash-index probe (or proven empty by one).
@@ -149,23 +148,6 @@ impl QueryStats {
     pub(crate) fn record_cardinality(&self, estimated: usize, actual: usize) {
         self.card_estimated.add(estimated as u64);
         self.card_actual.add(actual as u64);
-    }
-
-    /// Snapshot `(index_probes, range_scans, full_scans,
-    /// topk_short_circuits)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.index_probes.get(),
-            self.range_scans.get(),
-            self.full_scans.get(),
-            self.topk_short_circuits.get(),
-        )
-    }
-
-    /// Snapshot `(card_estimated, card_actual)` — summed planner
-    /// estimates vs. actual result sizes over executed plans.
-    pub fn cardinality(&self) -> (u64, u64) {
-        (self.card_estimated.get(), self.card_actual.get())
     }
 }
 

@@ -449,11 +449,19 @@ fn planner_counters_track_access_paths() {
     table
         .query(&Query::table("posts").sort_by("noise", Order::Asc).limit(2))
         .len();
-    let (probes, ranges, fulls, topk) = db.query_stats().snapshot();
-    assert_eq!(probes, 1);
-    assert_eq!(ranges, 1);
-    assert_eq!(fulls, 2, "bare scan + unindexed top-k scan");
-    assert_eq!(topk, 1, "only the LIMIT query short-circuited its sort");
+    let stats = db.query_stats();
+    assert_eq!(stats.index_probes.get(), 1);
+    assert_eq!(stats.range_scans.get(), 1);
+    assert_eq!(
+        stats.full_scans.get(),
+        2,
+        "bare scan + unindexed top-k scan"
+    );
+    assert_eq!(
+        stats.topk_short_circuits.get(),
+        1,
+        "only the LIMIT query short-circuited its sort"
+    );
 }
 
 #[test]

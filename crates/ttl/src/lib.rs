@@ -25,14 +25,12 @@
 //!   weigh fewer invalidations against fewer round-trips").
 
 pub mod active_list;
-pub mod alex;
 pub mod capacity;
 pub mod cost;
 pub mod estimator;
 pub mod rate;
 
 pub use active_list::{ActiveList, QueryState};
-pub use alex::{AlexConfig, AlexEstimator};
 pub use capacity::{AdmissionDecision, CapacityManager};
 pub use cost::{CostModel, Representation};
 pub use estimator::{EstimatorConfig, TtlEstimator};

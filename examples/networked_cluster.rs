@@ -10,11 +10,14 @@
 //! shard crosses a real loopback TCP connection):
 //!
 //! ```text
-//! QuaestorClient → MetricsLayer → ShardRouter ─┬─ RemoteService ── tcp ── NetServer ── shard 0
-//!                                              ├─ RemoteService ── tcp ── NetServer ── shard 1
-//!                                              ├─ RemoteService ── tcp ── NetServer ── shard 2
-//!                                              └─ RemoteService ── tcp ── NetServer ── shard 3
+//! QuaestorClient → MetricsLayer → ShardRouter ─┬─ MetricsLayer → RemoteService ── tcp ── NetServer ── shard 0
+//!                                              ├─ MetricsLayer → RemoteService ── tcp ── NetServer ── shard 1
+//!                                              ├─ MetricsLayer → RemoteService ── tcp ── NetServer ── shard 2
+//!                                              └─ MetricsLayer → RemoteService ── tcp ── NetServer ── shard 3
 //! ```
+//!
+//! The per-shard `MetricsLayer` times every call on its pool, so its
+//! `service.latency.*` histograms are the wire round trips.
 //!
 //! The client code is identical to the in-process examples — only the
 //! connect target changed. That is the entire point of the `Service`
@@ -44,23 +47,24 @@ fn main() {
     }
 
     // ---- client side: remote pool per shard, router, metrics, SDK -------
-    let remotes: Vec<Arc<RemoteService>> = servers
+    let wires: Vec<Arc<MetricsLayer>> = servers
         .iter()
         .map(|s| {
-            RemoteService::connect(
+            let remote = RemoteService::connect(
                 s.local_addr(),
                 RemoteServiceConfig {
                     pool_size: 2,
                     ..Default::default()
                 },
             )
-            .expect("connect shard")
+            .expect("connect shard");
+            MetricsLayer::new(remote)
         })
         .collect();
     let router = ShardRouter::new(
-        remotes
+        wires
             .iter()
-            .map(|r| r.clone() as Arc<dyn Service>)
+            .map(|w| w.clone() as Arc<dyn Service>)
             .collect(),
     );
     let metrics = MetricsLayer::new(router.clone());
@@ -109,30 +113,39 @@ fn main() {
 
     // ---- metrics --------------------------------------------------------
     let m = metrics.metrics();
-    use std::sync::atomic::Ordering;
     println!("\n-- MetricsLayer (client side of the wire) --");
     println!(
         "calls: {} (writes {}, reads {}, queries {}, batches {})",
         m.total_calls(),
-        m.writes.load(Ordering::Relaxed),
-        m.record_reads.load(Ordering::Relaxed),
-        m.queries.load(Ordering::Relaxed),
-        m.batches.load(Ordering::Relaxed),
+        m.writes.get(),
+        m.record_reads.get(),
+        m.queries.get(),
+        m.batches.get(),
     );
+    let snap = m.registry().snapshot();
     for kind in ["insert", "get_record", "query", "batch"] {
-        if let Some((p50, p95, p99)) = m.latency_percentiles(kind) {
-            println!("{kind:>12}: p50 {p50} us, p95 {p95} us, p99 {p99} us");
+        if let Some(h) = snap
+            .histogram(&format!("service.latency.{kind}"))
+            .filter(|h| h.count > 0)
+        {
+            println!(
+                "{kind:>12}: p50 {} us, p95 {} us, p99 {} us",
+                h.p50, h.p95, h.p99
+            );
         }
     }
     println!("\n-- per-shard transport --");
-    for (i, (remote, server)) in remotes.iter().zip(&servers).enumerate() {
-        let h = remote.latency_histogram();
+    for (i, (wire, server)) in wires.iter().zip(&servers).enumerate() {
+        let snap = wire.metrics().registry().snapshot();
+        let inserts = snap
+            .histogram("service.latency.insert")
+            .expect("registered with the layer");
         println!(
-            "shard {i}: {} requests over {} connections; wire p50 {} us, p99 {} us",
+            "shard {i}: {} requests over {} connections; insert p50 {} us, p99 {} us",
             server.requests_served(),
             server.connections_accepted(),
-            h.percentile(0.50).unwrap_or(0),
-            h.percentile(0.99).unwrap_or(0),
+            inserts.p50,
+            inserts.p99,
         );
     }
 

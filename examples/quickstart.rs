@@ -94,7 +94,7 @@ fn main() {
     assert_eq!(r4.docs.len(), 1);
 
     println!("== server metrics ==");
-    for (name, value) in server.metrics().snapshot() {
-        println!("  {name:>22}: {value}");
+    for (name, value) in server.metrics_snapshot().counters {
+        println!("  {name:>32}: {value}");
     }
 }

@@ -90,12 +90,12 @@
 //! |---|---|
 //! | [`core`] | the Quaestor middleware server (origin) + the `Service` protocol |
 //! | [`client`] | the client SDK: EBF usage, session consistency |
-//! | [`bloom`] | Bloom / Counting / **Expiring** Bloom filters |
+//! | [`bloom`] | Bloom / Counting / **Expiring** Bloom filters, per-table EBF |
 //! | [`invalidb`] | the real-time query invalidation pipeline |
 //! | [`ttl`] | TTL estimation, active list, capacity, cost model |
 //! | [`webcache`] | expiration & invalidation web-cache substrate |
 //! | [`store`] | document store substrate (MongoDB stand-in) |
-//! | [`kv`] | key-value store substrate (Redis stand-in) |
+//! | [`kv`] | publish/subscribe fan-out bus (Redis message-queue stand-in) |
 //! | [`net`] | binary wire protocol, TCP server, remote `Service` client |
 //! | [`obs`] | unified metrics registry + cross-layer distributed tracing |
 //! | [`query`] | MongoDB-style query language + normalization |

@@ -11,7 +11,8 @@ use std::sync::Arc;
 struct RemoteCluster {
     origins: Vec<Arc<QuaestorServer>>,
     servers: Vec<quaestor::net::NetServer>,
-    remotes: Vec<Arc<RemoteService>>,
+    /// One `MetricsLayer` per shard's pool: it times every wire call.
+    wires: Vec<Arc<MetricsLayer>>,
     router: Arc<ShardRouter>,
 }
 
@@ -27,20 +28,24 @@ fn remote_cluster(
         .iter()
         .map(|o| quaestor::net::NetServer::bind("127.0.0.1:0", o.clone()).expect("bind"))
         .collect();
-    let remotes: Vec<Arc<RemoteService>> = servers
+    let wires: Vec<Arc<MetricsLayer>> = servers
         .iter()
-        .map(|s| RemoteService::connect(s.local_addr(), config.clone()).expect("connect"))
+        .map(|s| {
+            MetricsLayer::new(
+                RemoteService::connect(s.local_addr(), config.clone()).expect("connect"),
+            )
+        })
         .collect();
     let router = ShardRouter::new(
-        remotes
+        wires
             .iter()
-            .map(|r| r.clone() as Arc<dyn Service>)
+            .map(|w| w.clone() as Arc<dyn Service>)
             .collect(),
     );
     RemoteCluster {
         origins,
         servers,
-        remotes,
+        wires,
         router,
     }
 }
@@ -173,12 +178,15 @@ fn full_sdk_stack_over_four_remote_shards() {
         assert_eq!(r.doc["v"], Value::Int(expect), "table t{i}");
     }
     // The wire answered with real latency for every kind used.
-    let m = metrics.metrics();
-    assert!(m.latency_percentiles("insert").is_some());
-    assert!(m.latency_percentiles("ebf_snapshot").is_some());
-    // Transport-level histograms merged across each shard's connections.
-    for r in &cluster.remotes {
-        assert!(r.latency_histogram().count() > 0);
+    let snap = metrics.metrics().registry().snapshot();
+    for kind in ["insert", "ebf_snapshot"] {
+        let h = snap.histogram(&format!("service.latency.{kind}")).unwrap();
+        assert!(h.count > 0, "no {kind} latency recorded");
+    }
+    // Each shard's pool timed the calls it carried.
+    for w in &cluster.wires {
+        let snap = w.metrics().registry().snapshot();
+        assert!(snap.histograms.iter().map(|(_, h)| h.count).sum::<u64>() > 0);
     }
     for s in &cluster.servers {
         s.shutdown();
