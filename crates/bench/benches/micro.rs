@@ -1,13 +1,20 @@
 //! Micro-benchmarks of the hot paths: Bloom probes, EBF maintenance,
-//! query normalization, predicate matching, LRU churn, store CRUD.
+//! query normalization, predicate matching, LRU churn, store CRUD, and
+//! encoding and decoding cached bodies.
+
+use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use quaestor_bloom::{BloomFilter, BloomParams, CountingBloomFilter, ExpiringBloomFilter};
 use quaestor_common::ManualClock;
-use quaestor_document::{doc, Update, Value};
+use quaestor_core::response::object_list_body;
+use quaestor_document::{decode_value, doc, Update, Value};
 use quaestor_query::{matcher, Filter, Query, QueryKey};
 use quaestor_store::Database;
 use quaestor_webcache::LruCache;
+use quaestor_workload::WorkloadConfig;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn bloom_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("bloom");
@@ -129,11 +136,36 @@ fn store_benches(c: &mut Criterion) {
     group.finish();
 }
 
+/// A cached object-list body: the ten members of one `read-heavy` query
+/// result, as the origin encodes them and a cache-hit client decodes them.
+fn body_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("body");
+    let config = WorkloadConfig::default();
+    let mut rng = StdRng::seed_from_u64(7);
+    let docs: Vec<_> = (0..10)
+        .map(|i| {
+            let mut d = config.make_doc(i, &mut rng);
+            d.insert("_id".into(), Value::Str(WorkloadConfig::doc_id(i)));
+            Arc::new(d)
+        })
+        .collect();
+    let body = object_list_body(&docs);
+    group.throughput(Throughput::Bytes(body.len() as u64));
+    group.bench_function("encode_object_list_10", |b| {
+        b.iter(|| object_list_body(black_box(&docs)))
+    });
+    group.bench_function("decode_object_list_10", |b| {
+        b.iter(|| decode_value(black_box(&body)).unwrap())
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bloom_benches,
     query_benches,
     lru_benches,
-    store_benches
+    store_benches,
+    body_benches
 );
 criterion_main!(benches);

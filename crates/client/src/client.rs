@@ -7,10 +7,11 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use quaestor_bloom::BloomFilter;
 use quaestor_common::{ClockRef, Error, Result, Timestamp};
+use quaestor_core::response::record_body;
 use quaestor_core::{
     QuaestorServer, QueryResponse, RecordResponse, Request, Response, Service, ServiceExt,
 };
-use quaestor_document::{Document, Update, Value};
+use quaestor_document::{decode_value, Document, Update, Value};
 use quaestor_query::{Query, QueryKey};
 use quaestor_webcache::{
     CacheEntry, CacheHierarchy, ExpirationCache, FetchMode, InvalidationCache, ServedBy,
@@ -457,7 +458,7 @@ impl QuaestorClient {
                 .filter(|_| self.config.use_browser_cache)
             {
                 let rkey = QueryKey::record(&query.table, id);
-                let body = bytes::Bytes::from(Value::Object((**doc).clone()).canonical());
+                let body = record_body(doc);
                 self.browser.put(
                     rkey.as_str(),
                     CacheEntry::new(body, *version, self.clock.now(), resp.ttl_ms),
@@ -587,7 +588,7 @@ impl QuaestorClient {
     /// cache its own writes within a session." (§3.2)
     fn cache_own_write(&self, table: &str, id: &str, version: u64, image: &Document) {
         let key = QueryKey::record(table, id);
-        let body = bytes::Bytes::from(Value::Object(image.clone()).canonical());
+        let body = record_body(image);
         let now = self.clock.now();
         // Own writes are authoritative: cache with the refresh interval as
         // a conservative local TTL.
@@ -640,9 +641,9 @@ enum ParsedBody {
 }
 
 fn parse_doc(body: &[u8]) -> Result<Document> {
-    let v: serde_json::Value = serde_json::from_slice(body)
-        .map_err(|e| Error::Internal(format!("malformed cached record body: {e}")))?;
-    match Value::from(v) {
+    match decode_value(body)
+        .map_err(|e| Error::Internal(format!("malformed cached record body: {e}")))?
+    {
         Value::Object(map) => Ok(map),
         other => Err(Error::Internal(format!(
             "cached record body is not an object: {other}"
@@ -651,30 +652,32 @@ fn parse_doc(body: &[u8]) -> Result<Document> {
 }
 
 fn parse_body(body: &[u8]) -> Result<ParsedBody> {
-    let v: serde_json::Value = serde_json::from_slice(body)
+    let v = decode_value(body)
         .map_err(|e| Error::Internal(format!("malformed cached query body: {e}")))?;
-    let arr = v
-        .as_array()
-        .ok_or_else(|| Error::Internal("cached query body is not an array".into()))?;
-    if arr.iter().all(|e| e.is_string()) && !arr.is_empty() {
+    let Value::Array(items) = v else {
+        return Err(Error::Internal("cached query body is not an array".into()));
+    };
+    if items.iter().all(|e| matches!(e, Value::Str(_))) && !items.is_empty() {
         Ok(ParsedBody::Ids(
-            arr.iter()
-                .filter_map(|e| e.as_str().map(str::to_owned))
+            items
+                .into_iter()
+                .filter_map(|e| match e {
+                    Value::Str(id) => Some(id),
+                    _ => None,
+                })
                 .collect(),
         ))
     } else {
-        let mut docs = Vec::with_capacity(arr.len());
-        for e in arr {
-            match Value::from(e.clone()) {
-                Value::Object(map) => docs.push(map),
-                other => {
-                    return Err(Error::Internal(format!(
-                        "query body element is not an object: {other}"
-                    )))
-                }
-            }
-        }
-        Ok(ParsedBody::Objects(docs))
+        items
+            .into_iter()
+            .map(|e| match e {
+                Value::Object(map) => Ok(map),
+                other => Err(Error::Internal(format!(
+                    "query body element is not an object: {other}"
+                ))),
+            })
+            .collect::<Result<_>>()
+            .map(ParsedBody::Objects)
     }
 }
 
@@ -898,6 +901,58 @@ mod tests {
             "record read must hit the browser cache warmed by the query"
         );
         assert_eq!(r.version, 1, "correct ETag cached");
+    }
+
+    #[test]
+    fn field_names_with_quotes_survive_cached_bodies() {
+        let (server, cdn, clock) = setup();
+        let mut d = doc! { "tag" => "hot" };
+        d.insert(r#"a"b"#.into(), Value::str(r#"c\d"#));
+        let writer = client(&server, &cdn, &clock);
+        writer.insert("posts", "p1", d.clone()).unwrap();
+        // Own-write cache, then origin, browser and CDN copies for other
+        // sessions, for both record and query bodies.
+        let own = writer.read_record("posts", "p1").unwrap();
+        assert_eq!(own.served_by, ServedBy::Layer(0));
+        assert_eq!(own.doc[r#"a"b"#], d[r#"a"b"#]);
+        let reader = client(&server, &cdn, &clock);
+        let late = client(&server, &cdn, &clock);
+        let q = Query::table("posts").filter(Filter::eq("tag", "hot"));
+        for (c, expect) in [
+            (&reader, ServedBy::Origin),
+            (&reader, ServedBy::Layer(0)),
+            (&late, ServedBy::Layer(1)),
+        ] {
+            let r = c.read_record("posts", "p1").unwrap();
+            assert_eq!(r.served_by, expect);
+            assert_eq!(r.doc[r#"a"b"#], d[r#"a"b"#]);
+            let r = c.query(&q).unwrap();
+            assert_eq!(r.served_by, expect);
+            assert_eq!(r.docs[0][r#"a"b"#], d[r#"a"b"#]);
+        }
+    }
+
+    #[test]
+    fn a_very_deep_cached_body_is_an_error_not_a_stack_overflow() {
+        let (server, cdn, clock) = setup();
+        server.insert("posts", "p1", doc! { "n" => 1 }).unwrap();
+        let c = client(&server, &cdn, &clock);
+        let depth = 200_000;
+        let body = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        cdn.put(
+            QueryKey::record("posts", "p1").as_str(),
+            CacheEntry::new(bytes::Bytes::from(body), 1, clock.now(), 60_000),
+        );
+        // An uncapped recursive parse overflows a 2 MiB stack here.
+        let read = std::thread::scope(|s| {
+            std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn_scoped(s, || c.read_record("posts", "p1").map(|r| r.doc))
+                .unwrap()
+                .join()
+                .unwrap()
+        });
+        assert!(read.is_err());
     }
 
     #[test]

@@ -18,7 +18,9 @@ use quaestor_webcache::InvalidationCache;
 
 use crate::config::ServerConfig;
 use crate::metrics::ServerMetrics;
-use crate::response::{id_list_body, object_list_body, result_etag, QueryResponse, RecordResponse};
+use crate::response::{
+    id_list_body, object_list_body, record_body, result_etag, QueryResponse, RecordResponse,
+};
 
 /// The origin server of Figure 3: database service + cache coherence
 /// machinery.
@@ -471,7 +473,7 @@ impl QuaestorServer {
         // Report to the EBF *before* replying, so any invalidation racing
         // this response finds the ledger entry (Figure 7 step 2).
         self.ebf.report_read(table, key.as_str(), ttl_ms);
-        let body = doc_body(&rec.doc);
+        let body = record_body(&rec.doc);
         Ok(RecordResponse {
             key,
             body,
@@ -795,10 +797,6 @@ impl QuaestorServer {
     pub fn ebf(&self) -> &PartitionedEbf {
         &self.ebf
     }
-}
-
-fn doc_body(doc: &Document) -> bytes::Bytes {
-    bytes::Bytes::from(Value::Object(doc.clone()).canonical())
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::canonical;
 use crate::path::Path;
 
 /// A JSON-like value with MongoDB/BSON-flavoured total ordering.
@@ -145,10 +146,11 @@ impl Value {
 
     /// Canonical string rendering. Deterministic: objects print keys in
     /// sorted order, floats use Rust's shortest-roundtrip formatting.
-    /// Used for query-string normalization (the cache key).
+    /// Used for query-string normalization (the cache key) and for cached
+    /// bodies; [`crate::canonical`] states the format and holds its reader.
     pub fn canonical(&self) -> String {
         let mut out = String::new();
-        self.write_canonical(&mut out);
+        canonical::write_value(self, &mut out);
         out
     }
 
@@ -166,7 +168,7 @@ impl Value {
     /// on this rendering; keying on `canonical()` would miss matches.
     pub fn eq_canonical_into(&self, out: &mut String) {
         match self {
-            Value::Int(i) => Value::Float(*i as f64).write_canonical(out),
+            Value::Int(i) => canonical::write_float(*i as f64, out),
             Value::Array(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -183,67 +185,13 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('"');
-                    out.push_str(k);
-                    out.push_str("\":");
+                    canonical::write_str(k, out);
+                    out.push(':');
                     v.eq_canonical_into(out);
                 }
                 out.push('}');
             }
-            other => other.write_canonical(out),
-        }
-    }
-
-    fn write_canonical(&self, out: &mut String) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(i) => {
-                out.push_str(&i.to_string());
-            }
-            Value::Float(f) => {
-                if f.fract() == 0.0 && f.is_finite() && f.abs() < 1e15 {
-                    // 3.0 and 3 must produce the same cache key: they are
-                    // the same point in MongoDB's numeric order.
-                    out.push_str(&(*f as i64).to_string());
-                } else {
-                    out.push_str(&f.to_string());
-                }
-            }
-            Value::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Value::Array(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write_canonical(out);
-                }
-                out.push(']');
-            }
-            Value::Object(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    out.push_str(k);
-                    out.push_str("\":");
-                    v.write_canonical(out);
-                }
-                out.push('}');
-            }
+            other => canonical::write_value(other, out),
         }
     }
 }
@@ -345,45 +293,6 @@ impl From<String> for Value {
 impl<T: Into<Value>> From<Vec<T>> for Value {
     fn from(v: Vec<T>) -> Self {
         Value::Array(v.into_iter().map(Into::into).collect())
-    }
-}
-
-impl From<serde_json::Value> for Value {
-    fn from(v: serde_json::Value) -> Self {
-        match v {
-            serde_json::Value::Null => Value::Null,
-            serde_json::Value::Bool(b) => Value::Bool(b),
-            serde_json::Value::Number(n) => {
-                if let Some(i) = n.as_i64() {
-                    Value::Int(i)
-                } else {
-                    Value::Float(n.as_f64().unwrap_or(f64::NAN))
-                }
-            }
-            serde_json::Value::String(s) => Value::Str(s),
-            serde_json::Value::Array(a) => Value::Array(a.into_iter().map(Into::into).collect()),
-            serde_json::Value::Object(o) => {
-                Value::Object(o.into_iter().map(|(k, v)| (k, v.into())).collect())
-            }
-        }
-    }
-}
-
-impl From<Value> for serde_json::Value {
-    fn from(v: Value) -> Self {
-        match v {
-            Value::Null => serde_json::Value::Null,
-            Value::Bool(b) => serde_json::Value::Bool(b),
-            Value::Int(i) => serde_json::Value::from(i),
-            Value::Float(f) => serde_json::Number::from_f64(f)
-                .map(serde_json::Value::Number)
-                .unwrap_or(serde_json::Value::Null),
-            Value::Str(s) => serde_json::Value::String(s),
-            Value::Array(a) => serde_json::Value::Array(a.into_iter().map(Into::into).collect()),
-            Value::Object(o) => {
-                serde_json::Value::Object(o.into_iter().map(|(k, v)| (k, v.into())).collect())
-            }
-        }
     }
 }
 
@@ -541,8 +450,8 @@ mod tests {
             ("s", Value::str("x")),
             ("a", varray![1, 2]),
         ]);
-        let j: serde_json::Value = v.clone().into();
-        let back: Value = j.into();
+        use crate::canonical::tests::{from_json, to_json};
+        let back = from_json(to_json(v.clone()));
         assert_eq!(v, back);
     }
 

@@ -219,12 +219,9 @@ pub fn put_value(w: &mut Writer, v: &Value) {
     }
 }
 
-/// Hard ceiling on decoder recursion (nested arrays/objects, nested
-/// filter combinators). Real documents nest a handful of levels; the cap
-/// exists because these decoders also face *untrusted* bytes over the
-/// wire, where a few KB of crafted nesting tags would otherwise drive
-/// the recursion to a stack overflow — an abort, not a clean error.
-pub const MAX_DECODE_DEPTH: usize = 64;
+/// Hard ceiling on decoder recursion, shared with the canonical JSON
+/// reader in `quaestor-document`.
+pub use quaestor_document::MAX_DECODE_DEPTH;
 
 pub(crate) fn deeper(depth: usize, what: &str) -> DResult<usize> {
     if depth >= MAX_DECODE_DEPTH {

@@ -458,6 +458,24 @@ mod tests {
     }
 
     #[test]
+    fn object_literal_keys_are_escaped() {
+        // One key spelled to look like two fields must not share a key
+        // (and so web-cache entries) with the two-field literal.
+        let obj = |pairs: &[(&str, i64)]| {
+            Value::Object(
+                pairs
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), Value::Int(*v)))
+                    .collect(),
+            )
+        };
+        let tricky = Query::table("t").filter(Filter::eq("f", obj(&[(r#"a":1,"b"#, 2)])));
+        let plain = Query::table("t").filter(Filter::eq("f", obj(&[("a", 1), ("b", 2)])));
+        assert_ne!(QueryKey::of(&tricky), QueryKey::of(&plain));
+        assert_eq!(QueryKey::of(&plain).as_str(), r#"q:t?f$eq{"a":1,"b":2}"#);
+    }
+
+    #[test]
     fn record_keys_distinct_from_query_keys() {
         let r = QueryKey::record("posts", "42");
         assert!(r.is_record());

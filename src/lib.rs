@@ -99,7 +99,7 @@
 //! | [`net`] | binary wire protocol, TCP server, remote `Service` client |
 //! | [`obs`] | unified metrics registry + cross-layer distributed tracing |
 //! | [`query`] | MongoDB-style query language + normalization |
-//! | [`document`] | nested document model + update operators |
+//! | [`document`] | nested document model + update operators + canonical JSON bodies |
 //! | [`sim`] | Monte Carlo simulation of the whole stack |
 //! | [`workload`] | YCSB-style workload generation |
 
