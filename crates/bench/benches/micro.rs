@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the hot paths: Bloom probes, EBF maintenance,
-//! query normalization, predicate matching, LRU churn, store CRUD, and
-//! encoding and decoding cached bodies.
+//! query normalization, predicate matching, LRU churn, store CRUD,
+//! encoding and decoding cached bodies, and the origin's query path.
 
 use std::sync::Arc;
 
@@ -8,6 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use quaestor_bloom::{BloomFilter, BloomParams, CountingBloomFilter, ExpiringBloomFilter};
 use quaestor_common::ManualClock;
 use quaestor_core::response::object_list_body;
+use quaestor_core::{IndexKind, QuaestorServer};
 use quaestor_document::{decode_value, doc, Update, Value};
 use quaestor_query::{matcher, Filter, Query, QueryKey};
 use quaestor_store::Database;
@@ -160,12 +161,50 @@ fn body_benches(c: &mut Criterion) {
     group.finish();
 }
 
+/// `QuaestorServer::query`, the origin side of every query cache miss and
+/// revalidation, for a 10-member equality query over a hash index on a
+/// 10k-doc table: re-evaluating a registered query, and evaluating one
+/// never seen before (a first InvaliDB registration per iteration).
+fn server_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("server");
+    let server = QuaestorServer::with_defaults(ManualClock::new());
+    server.declare_index("posts", "category", IndexKind::Hash);
+    for i in 0..10_000 {
+        server
+            .insert(
+                "posts",
+                &format!("p{i}"),
+                doc! { "category" => (i % 1000) as i64, "n" => i },
+            )
+            .unwrap();
+    }
+    let registered = Query::table("posts").filter(Filter::eq("category", 7));
+    server.query(&registered).unwrap();
+    group.bench_function("query_registered_10", |b| {
+        b.iter(|| server.query(black_box(&registered)).unwrap())
+    });
+    group.bench_function("query_first_registration_10", |b| {
+        // A conjunct no record fails makes each iteration's query new.
+        let mut i = 0i64;
+        b.iter(|| {
+            i += 1;
+            let fresh = Query::table("posts").filter(Filter::and([
+                Filter::eq("category", 8),
+                Filter::ne("n", -i),
+            ]));
+            server.query(black_box(&fresh)).unwrap()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bloom_benches,
     query_benches,
     lru_benches,
     store_benches,
-    body_benches
+    body_benches,
+    server_benches
 );
 criterion_main!(benches);

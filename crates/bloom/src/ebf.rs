@@ -95,10 +95,19 @@ impl ExpiringBloomFilter {
         let deadline = self.clock.now().plus(ttl_ms);
         let mut inner = self.inner.lock();
         inner.stats.reads_reported += 1;
-        let entry = inner.ledger.entry(key.to_owned()).or_insert(KeyState {
-            expires_at: Timestamp::ZERO,
-        });
-        entry.expires_at = entry.expires_at.max(deadline);
+        // Most reads repeat a key the ledger already holds: only a new
+        // key pays for its owned copy.
+        match inner.ledger.get_mut(key) {
+            Some(state) => state.expires_at = state.expires_at.max(deadline),
+            None => {
+                inner.ledger.insert(
+                    key.to_owned(),
+                    KeyState {
+                        expires_at: deadline,
+                    },
+                );
+            }
+        }
     }
 
     /// A write invalidated `key`. Returns `true` if the key was added to

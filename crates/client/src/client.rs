@@ -467,7 +467,14 @@ impl QuaestorClient {
             }
             drop(inner);
             return Ok(QueryOutcome {
-                docs: resp.docs.iter().map(|d| (**d).clone()).collect(),
+                // Documents decoded off the wire are this response's own:
+                // move them out. Only shared ones (an in-process origin
+                // hands out the store's) are copied.
+                docs: resp
+                    .docs
+                    .into_iter()
+                    .map(|d| Arc::try_unwrap(d).unwrap_or_else(|d| (*d).clone()))
+                    .collect(),
                 etag: resp.etag,
                 served_by: outcome.served_by,
                 record_fetches: Vec::new(),

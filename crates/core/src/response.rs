@@ -1,5 +1,6 @@
 //! Cacheable origin responses.
 
+use std::fmt::Write;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -101,13 +102,15 @@ fn freeze(body: &str) -> Bytes {
     Bytes::from(body)
 }
 
-/// ETag for a query result: a stable hash over `(id, version)` pairs.
-pub fn result_etag(pairs: impl Iterator<Item = (String, Version)>) -> Version {
+/// ETag for a query result: a stable hash over the `id:version;` text of
+/// its `(id, version)` pairs.
+pub fn result_etag<'a>(pairs: impl IntoIterator<Item = (&'a str, Version)>) -> Version {
     let mut acc = String::new();
     for (id, v) in pairs {
-        acc.push_str(&id);
+        acc.push_str(id);
         acc.push(':');
-        acc.push_str(&v.to_string());
+        // Writing into a `String` cannot fail.
+        let _ = write!(acc, "{v}");
         acc.push(';');
     }
     fx_hash_bytes(acc.as_bytes())
@@ -153,12 +156,17 @@ mod tests {
 
     #[test]
     fn etag_changes_with_versions() {
-        let a = result_etag([("x".to_string(), 1u64)].into_iter());
-        let b = result_etag([("x".to_string(), 2u64)].into_iter());
-        let c = result_etag([("y".to_string(), 1u64)].into_iter());
+        let a = result_etag([("x", 1u64)]);
+        let b = result_etag([("x", 2u64)]);
+        let c = result_etag([("y", 1u64)]);
         assert_ne!(a, b);
         assert_ne!(a, c);
-        let a2 = result_etag([("x".to_string(), 1u64)].into_iter());
+        let a2 = result_etag([("x", 1u64)]);
         assert_eq!(a, a2, "deterministic");
+        // The hash input is the `id:version;` text of every pair.
+        assert_eq!(
+            result_etag([("a", 7u64), ("b", 12_345_678_901)]),
+            fx_hash_bytes(b"a:7;b:12345678901;")
+        );
     }
 }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use quaestor_bloom::{BloomFilter, PartitionedEbf};
 use quaestor_common::{ClockRef, Error, Result, SystemClock, Timestamp};
-use quaestor_document::{Document, Update, Value};
+use quaestor_document::{Document, Update};
 use quaestor_durability::{DurabilityConfig, DurabilityEngine, WalRecord};
 use quaestor_invalidb::{InvaliDbCluster, Notification};
 use quaestor_query::{Query, QueryKey};
@@ -291,16 +291,18 @@ impl QuaestorServer {
             } else {
                 self.db.query(&query)?
             };
-            let table = query.table.clone();
-            match self.invalidb.register_query(query, initial, mark) {
+            match self.invalidb.register_query(&query, &key, &initial, mark) {
                 Ok(_) => {
                     self.active.set_registered(&key, true);
                     // Warm EBF residency: caches may hold this query's
                     // pre-crash result, and the read ledger died with the
                     // old process. Assume the worst-case TTL so future
                     // invalidations of those copies reach the sketch.
-                    self.ebf
-                        .report_read(&table, key.as_str(), self.config.estimator.max_ttl_ms);
+                    self.ebf.report_read(
+                        &query.table,
+                        key.as_str(),
+                        self.config.estimator.max_ttl_ms,
+                    );
                     return Ok(());
                 }
                 Err(Error::Capacity(_)) => {}
@@ -382,10 +384,6 @@ impl QuaestorServer {
         self.clock.now()
     }
 
-    fn record_sample_key(table: &str, id: &str) -> String {
-        format!("{table}/{id}")
-    }
-
     fn purge(&self, key: &QueryKey) {
         let cdns = self.cdns.read();
         for cdn in cdns.iter() {
@@ -465,11 +463,10 @@ impl QuaestorServer {
             table: table.to_owned(),
             id: id.to_owned(),
         })?;
-        let rate = self
-            .sampler
-            .rate(&Self::record_sample_key(table, id), self.now());
-        let ttl_ms = self.estimator.record_ttl(rate);
+        // The record key is also the record's key in the write-rate sampler.
         let key = QueryKey::record(table, id);
+        let rate = self.sampler.rate(key.as_str(), self.now());
+        let ttl_ms = self.estimator.record_ttl(rate);
         // Report to the EBF *before* replying, so any invalidation racing
         // this response finds the ledger entry (Figure 7 step 2).
         self.ebf.report_read(table, key.as_str(), ttl_ms);
@@ -501,11 +498,19 @@ impl QuaestorServer {
         // Schemaless DBaaS semantics: querying a table that does not exist
         // yet creates it and returns the empty result.
         self.db.create_table(&query.table);
-        let docs = self.db.query(query)?;
-        let ids: Vec<String> = docs
-            .iter()
-            .filter_map(|d| d.get("_id").and_then(Value::as_str).map(str::to_owned))
-            .collect();
+        // Each member's version is read under the same shard lock as its
+        // document, so `versions` and the ETag label exactly the
+        // documents served, however writers race this evaluation.
+        let hits = self.db.query_records(query)?;
+        let mut ids = Vec::with_capacity(hits.len());
+        let mut versions = Vec::with_capacity(hits.len());
+        let mut docs = Vec::with_capacity(hits.len());
+        for (id, rec) in hits {
+            ids.push(id.to_string());
+            versions.push(rec.version);
+            docs.push(rec.doc);
+        }
+        let etag = result_etag(ids.iter().map(String::as_str).zip(versions.iter().copied()));
 
         // Admission: is this query worth one of the InvaliDB slots?
         let admitted = match self.capacity.request_admission(&key) {
@@ -522,12 +527,9 @@ impl QuaestorServer {
 
         if !admitted {
             // Served uncacheable: ttl 0, not registered anywhere.
-            let body = object_list_body(&docs);
-            let etag = self.result_etag_of(query, &ids)?;
-            let versions = self.versions_of(query, &ids)?;
             return Ok(QueryResponse {
                 key,
-                body,
+                body: object_list_body(&docs),
                 etag,
                 ttl_ms: 0,
                 invalidation_ttl_ms: 0,
@@ -539,40 +541,46 @@ impl QuaestorServer {
             });
         }
 
-        // Representation decision from observed per-query workload.
-        let representation = match self.active.get(&key) {
-            Some(state) => self.decide_representation(&state, ids.len(), now),
+        // One record key per member, the member's key in both the
+        // write-rate sampler and the EBF; each member's rate is read once
+        // and feeds both the query's initial TTL and the member's own.
+        let member_keys: Vec<QueryKey> = ids
+            .iter()
+            .map(|id| QueryKey::record(&query.table, id))
+            .collect();
+        let rates = self
+            .sampler
+            .rates(member_keys.iter().map(QueryKey::as_str), now);
+
+        // Representation decision from observed per-query workload; TTL:
+        // EWMA-refined estimate if we have history, otherwise the Poisson
+        // initial estimate from the result set's write rates.
+        let state = self.active.get(&key);
+        let representation = match &state {
+            Some(state) => self.decide_representation(state, ids.len(), now),
             None => Representation::ObjectList,
         };
-
-        // TTL: EWMA-refined estimate if we have history, otherwise the
-        // Poisson initial estimate from the result set's write rates.
-        let ttl_ms = match self.active.get(&key) {
+        let ttl_ms = match &state {
             Some(state) if state.invalidations > 0 => state.ttl_ms,
-            _ => {
-                let combined = self.sampler.combined_rate(
-                    ids.iter()
-                        .map(|id| Self::record_sample_key(&query.table, id))
-                        .collect::<Vec<_>>()
-                        .iter()
-                        .map(String::as_str),
-                    now,
-                );
-                self.estimator.initial_query_ttl(combined)
-            }
+            _ => self
+                .estimator
+                .initial_query_ttl(rates.iter().flatten().sum()),
         };
 
-        // Register with InvaliDB (idempotent re-registration is fine).
-        // Stateful queries need the full unwindowed matching set.
-        let initial = if query.is_stateful() {
+        // Register with InvaliDB. A query that is already registered gets
+        // its matching state replaced by this evaluation's result, then
+        // the writes that raced the evaluation are replayed (see
+        // `InvaliDbCluster::register_query`). Stateful queries need the
+        // full unwindowed matching set.
+        let raced = if query.is_stateful() {
             let mut unwindowed = query.clone();
             unwindowed.limit = None;
             unwindowed.offset = 0;
-            self.db.query(&unwindowed)?
+            let initial = self.db.query(&unwindowed)?;
+            self.invalidb.register_query(query, &key, &initial, mark)?
         } else {
-            docs.clone()
+            self.invalidb.register_query(query, &key, &docs, mark)?
         };
-        let raced = self.invalidb.register_query(query.clone(), initial, mark)?;
         self.active.set_registered(&key, true);
         // Durable registration: recovery re-registers the query so its
         // cached copies keep being invalidated after a restart. (No-op
@@ -580,14 +588,15 @@ impl QuaestorServer {
         // Replicas skip it — their WAL carries only the primary's LSNs.)
         if !self.is_replica() {
             if let Some(d) = &self.durability {
-                d.log_register_query(query)?;
+                d.log_register_query(query, &key)?;
             }
         }
 
         // Report the cacheable read, then handle any raced notifications
         // as regular invalidations (they arrived between evaluation and
         // activation).
-        self.ebf.report_read(&query.table, key.as_str(), ttl_ms);
+        let ebf = self.ebf.partition(&query.table);
+        ebf.report_read(key.as_str(), ttl_ms);
         self.active
             .on_origin_read(&key, ttl_ms, representation, now);
         for n in raced {
@@ -598,24 +607,14 @@ impl QuaestorServer {
         // into the cache as individual entries" (§6.2) — the server
         // reports each member read so the EBF can cover them, and the
         // response carries the members so caches can store them.
-        for id in &ids {
-            let rate = self
-                .sampler
-                .rate(&Self::record_sample_key(&query.table, id), now);
-            let rttl = self.estimator.record_ttl(rate);
-            self.ebf.report_read(
-                &query.table,
-                QueryKey::record(&query.table, id).as_str(),
-                rttl,
-            );
+        for (rkey, rate) in member_keys.iter().zip(rates) {
+            ebf.report_read(rkey.as_str(), self.estimator.record_ttl(rate));
         }
 
         let body = match representation {
             Representation::ObjectList => object_list_body(&docs),
             Representation::IdList => id_list_body(&ids),
         };
-        let etag = self.result_etag_of(query, &ids)?;
-        let versions = self.versions_of(query, &ids)?;
         Ok(QueryResponse {
             key,
             body,
@@ -628,22 +627,6 @@ impl QuaestorServer {
             docs,
             cacheable: true,
         })
-    }
-
-    fn versions_of(&self, query: &Query, ids: &[String]) -> Result<Vec<u64>> {
-        let t = self.db.table(&query.table)?;
-        Ok(ids
-            .iter()
-            .map(|id| t.get(id).map(|r| r.version).unwrap_or(0))
-            .collect())
-    }
-
-    fn result_etag_of(&self, query: &Query, ids: &[String]) -> Result<u64> {
-        let t = self.db.table(&query.table)?;
-        Ok(result_etag(ids.iter().map(|id| {
-            let v = t.get(id).map(|r| r.version).unwrap_or(0);
-            (id.clone(), v)
-        })))
     }
 
     fn decide_representation(
@@ -715,10 +698,9 @@ impl QuaestorServer {
     pub(crate) fn after_write(&self, event: &WriteEvent) {
         self.metrics.writes.inc();
         let now = self.now();
-        self.sampler
-            .record_write(&Self::record_sample_key(&event.table, &event.id), now);
-        // Record-level invalidation.
         let rkey = QueryKey::record(&event.table, &event.id);
+        self.sampler.record_write(rkey.as_str(), now);
+        // Record-level invalidation.
         if self.ebf.invalidate(&event.table, rkey.as_str()) {
             self.metrics.record_invalidations.inc();
         }
@@ -775,12 +757,10 @@ impl QuaestorServer {
     /// simulator's staleness detector to compare what a client observed
     /// against what a linearizable system would have returned.
     pub fn current_query_etag(&self, query: &Query) -> Result<u64> {
-        let docs = self.db.query(query)?;
-        let ids: Vec<String> = docs
-            .iter()
-            .filter_map(|d| d.get("_id").and_then(Value::as_str).map(str::to_owned))
-            .collect();
-        self.result_etag_of(query, &ids)
+        let hits = self.db.query_records(query)?;
+        Ok(result_etag(
+            hits.iter().map(|(id, rec)| (&**id, rec.version)),
+        ))
     }
 
     /// Number of actively matched (cached) queries.
@@ -803,7 +783,7 @@ impl QuaestorServer {
 mod tests {
     use super::*;
     use quaestor_common::ManualClock;
-    use quaestor_document::doc;
+    use quaestor_document::{doc, Value};
     use quaestor_query::Filter;
 
     fn server() -> (Arc<QuaestorServer>, Arc<ManualClock>) {
@@ -1238,6 +1218,82 @@ mod tests {
         assert_eq!(dst.last_lsn(), after + 1, "post-promotion write must log");
         std::fs::remove_dir_all(&primary_dir).unwrap();
         std::fs::remove_dir_all(&replica_dir).unwrap();
+    }
+
+    #[test]
+    fn query_versions_and_etag_label_the_documents_served() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+        use std::time::{Duration, Instant};
+        // A writer bumps `counter` on every member of one equality query
+        // while this thread re-evaluates the query. Each update bumps the
+        // version too, so a member's version is always `counter + 1`: a
+        // version read apart from its document breaks that.
+        const MEMBERS: usize = 10;
+        let (s, _) = server();
+        s.declare_index("t", "category", IndexKind::Hash);
+        for i in 0..MEMBERS {
+            s.insert(
+                "t",
+                &format!("m{i}"),
+                doc! { "category" => "c", "counter" => 0 },
+            )
+            .unwrap();
+        }
+        let q = Query::table("t").filter(Filter::eq("category", "c"));
+        let stop = AtomicBool::new(false);
+        let writes = AtomicU64::new(0);
+        let mislabelled = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let bump = Update::new().inc("counter", 1.0);
+                while !stop.load(Relaxed) {
+                    for i in 0..MEMBERS {
+                        s.update("t", &format!("m{i}"), &bump).unwrap();
+                    }
+                    writes.fetch_add(MEMBERS as u64, Relaxed);
+                }
+            });
+            // At least 2 000 queries racing at least 2 000 writes, within
+            // a 10 s cap.
+            let started = Instant::now();
+            let mut queries = 0;
+            let mut mislabelled = None;
+            while mislabelled.is_none()
+                && (queries < 2_000 || writes.load(Relaxed) < 2_000)
+                && started.elapsed() < Duration::from_secs(10)
+            {
+                queries += 1;
+                let resp = match s.query(&q) {
+                    Ok(resp) => resp,
+                    Err(e) => {
+                        mislabelled = Some(format!("query {queries} failed: {e}"));
+                        break;
+                    }
+                };
+                let labelled = resp.ids.len() == MEMBERS
+                    && resp.docs.iter().zip(&resp.ids).zip(&resp.versions).all(
+                        |((doc, id), &version)| {
+                            doc["_id"] == Value::str(id)
+                                && doc["counter"].as_i64() == Some(version as i64 - 1)
+                        },
+                    );
+                let etag = result_etag(
+                    resp.ids
+                        .iter()
+                        .map(String::as_str)
+                        .zip(resp.versions.iter().copied()),
+                );
+                if !labelled || resp.etag != etag {
+                    mislabelled = Some(format!(
+                        "query {queries}: versions {:?} and etag {} label the docs {:?}",
+                        resp.versions, resp.etag, resp.docs
+                    ));
+                }
+            }
+            stop.store(true, Relaxed);
+            mislabelled
+        });
+        assert_eq!(mislabelled, None);
+        assert!(writes.into_inner() > 0, "the writer never ran");
     }
 
     #[test]

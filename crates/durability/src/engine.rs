@@ -477,18 +477,18 @@ impl DurabilityEngine {
     /// snapshot carries it). Idempotent: re-registering an
     /// already-durable query appends no frame — the origin re-registers
     /// on every cache-miss evaluation, and logging each would bloat the
-    /// log with no information.
-    pub fn log_register_query(&self, query: &Query) -> Result<u64> {
-        let key = QueryKey::of(query).as_str().to_owned();
+    /// log with no information. `key` is the query's [`QueryKey::of`].
+    pub fn log_register_query(&self, query: &Query, key: &QueryKey) -> Result<u64> {
+        debug_assert_eq!(key, &QueryKey::of(query));
         let mut state = self.state.lock();
-        if state.queries.contains_key(&key) {
+        if state.queries.contains_key(key.as_str()) {
             return Ok(state.wal.last_lsn());
         }
         let lsn = state.wal.append(&WalRecord::RegisterQuery {
             query: query.clone(),
         })?;
         state.frames_since_snapshot += 1;
-        state.queries.insert(key, query.clone());
+        state.queries.insert(key.as_str().to_owned(), query.clone());
         Ok(lsn)
     }
 
@@ -803,8 +803,8 @@ mod tests {
             let (db, engine) = durable_db(&dir, DurabilityConfig::default());
             let t = db.create_table("posts");
             t.insert("p1", doc! { "topic" => "db" }).unwrap();
-            engine.log_register_query(&q1).unwrap();
-            engine.log_register_query(&q2).unwrap();
+            engine.log_register_query(&q1, &QueryKey::of(&q1)).unwrap();
+            engine.log_register_query(&q2, &QueryKey::of(&q2)).unwrap();
             engine.log_deregister_query(&QueryKey::of(&q2)).unwrap();
             t.delete("p1", None).unwrap();
         }

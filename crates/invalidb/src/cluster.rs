@@ -1,5 +1,6 @@
 //! The partitioned matching grid (Figure 6) with ingestion semantics.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -53,7 +54,7 @@ pub struct InvaliDbCluster {
     sorted: Vec<Mutex<FxHashMap<QueryKey, SortedQueryState>>>,
     /// Recent events for registration replay, tagged with their ingest
     /// sequence number.
-    replay: Mutex<std::collections::VecDeque<(u64, WriteEvent)>>,
+    replay: Mutex<VecDeque<(u64, WriteEvent)>>,
     /// Monotonic ingest counter; `ingest_mark()` lets callers bound what
     /// a later registration must replay.
     ingest_seq: std::sync::atomic::AtomicU64,
@@ -85,7 +86,7 @@ impl InvaliDbCluster {
             sorted: (0..config.query_partitions)
                 .map(|_| Mutex::new(FxHashMap::default()))
                 .collect(),
-            replay: Mutex::new(std::collections::VecDeque::new()),
+            replay: Mutex::new(VecDeque::new()),
             ingest_seq: std::sync::atomic::AtomicU64::new(0),
             registered: Mutex::new(FxHashMap::default()),
         }
@@ -118,7 +119,8 @@ impl InvaliDbCluster {
         self.registered.lock().len()
     }
 
-    /// Register a query for invalidation detection.
+    /// Register a query for invalidation detection. `key` is the query's
+    /// [`QueryKey::of`].
     ///
     /// "Every new query is initially evaluated on Quaestor and then sent
     /// to InvaliDB together with the initial result set. To rule out the
@@ -126,63 +128,83 @@ impl InvaliDbCluster {
     /// query evaluation and the successful query activation, all recently
     /// received objects are replayed for a query when it is installed."
     ///
+    /// Registering a query that is already registered *replaces* its
+    /// state: the outcome equals [`deregister_query`] followed by a first
+    /// registration. A live stateless query is replaced in place — each
+    /// grid row's matching set is overwritten with the fresh initial ids
+    /// and nothing is rebuilt or cloned; stateful queries are rebuilt.
+    /// Either way, the buffered events ingested after `replay_from` are
+    /// then replayed through the query's cells.
+    ///
     /// Returns the notifications produced by the replay (they represent
     /// changes that raced the activation and must invalidate immediately).
+    ///
+    /// [`deregister_query`]: InvaliDbCluster::deregister_query
     pub fn register_query(
         &self,
-        query: Query,
-        initial_result: Vec<Arc<Document>>,
+        query: &Query,
+        key: &QueryKey,
+        initial_result: &[Arc<Document>],
         replay_from: u64,
     ) -> Result<Vec<Notification>> {
-        let key = QueryKey::of(&query);
-        {
+        debug_assert_eq!(key, &QueryKey::of(query));
+        let stateful = query.is_stateful();
+        let live = {
             let mut reg = self.registered.lock();
-            if reg.len() >= self.config.max_queries && !reg.contains_key(&key) {
-                return Err(Error::Capacity(format!(
-                    "InvaliDB at its {}-query capacity",
-                    self.config.max_queries
-                )));
+            let live = reg.contains_key(key);
+            if !live {
+                if reg.len() >= self.config.max_queries {
+                    return Err(Error::Capacity(format!(
+                        "InvaliDB at its {}-query capacity",
+                        self.config.max_queries
+                    )));
+                }
+                reg.insert(key.clone(), stateful);
             }
-            reg.insert(key.clone(), query.is_stateful());
-        }
-        let col = self.query_partition(&key);
+            live
+        };
+        let col = self.query_partition(key);
         let mut replayed = Vec::new();
-        if query.is_stateful() {
+        if stateful {
             // Stateful queries live in the by-query sorted layer. NOTE:
             // the initial result for stateful queries must be the FULL
             // matching set (unwindowed) for offset bookkeeping.
             let mut layer = self.sorted[col].lock();
-            let mut state = SortedQueryState::new(query, key.clone(), initial_result);
-            for (seq, ev) in self.replay.lock().iter() {
-                if *seq > replay_from {
-                    replayed.extend(state.process(ev));
-                }
+            let mut state =
+                SortedQueryState::new(query.clone(), key.clone(), initial_result.to_vec());
+            let replay = self.replay.lock();
+            for (_, ev) in replay.range(Self::replay_start(&replay, replay_from)..) {
+                replayed.extend(state.process(ev));
             }
-            layer.insert(key, state);
-        } else {
-            // Stateless: split the initial ids across the object rows.
-            let ids: Vec<Arc<str>> = initial_result
-                .iter()
-                .filter_map(|d| d.get("_id").and_then(|v| v.as_str()).map(Arc::from))
-                .collect();
-            for (row, grid_row) in self.grid.iter().enumerate() {
-                let row_ids: Vec<Arc<str>> = ids
-                    .iter()
-                    .filter(|id| self.object_partition(id) == row)
-                    .cloned()
-                    .collect();
-                grid_row[col]
-                    .lock()
-                    .register(query.clone(), key.clone(), row_ids);
-            }
-            for (seq, ev) in self.replay.lock().iter() {
-                if *seq > replay_from {
-                    let row = self.object_partition(&ev.id);
-                    replayed.extend(self.grid[row][col].lock().process(ev));
-                }
+            layer.insert(key.clone(), state);
+            return Ok(replayed);
+        }
+        // Stateless: split the initial ids across the object rows.
+        let ids: Vec<(usize, &str)> = initial_result
+            .iter()
+            .filter_map(|d| d.get("_id").and_then(|v| v.as_str()))
+            .map(|id| (self.object_partition(id), id))
+            .collect();
+        for (row, grid_row) in self.grid.iter().enumerate() {
+            let row_ids = ids.iter().filter(|(r, _)| *r == row).map(|&(_, id)| id);
+            let mut node = grid_row[col].lock();
+            if !(live && node.reseed(key, row_ids.clone())) {
+                node.register(query.clone(), key.clone(), row_ids.map(Arc::from).collect());
             }
         }
+        let replay = self.replay.lock();
+        for (_, ev) in replay.range(Self::replay_start(&replay, replay_from)..) {
+            let row = self.object_partition(&ev.id);
+            replayed.extend(self.grid[row][col].lock().process(ev));
+        }
         Ok(replayed)
+    }
+
+    /// Index of the first buffered event ingested after `mark`. The buffer
+    /// is ordered by ingest sequence: `on_write` assigns each sequence
+    /// number under the buffer's lock.
+    fn replay_start(replay: &VecDeque<(u64, WriteEvent)>, mark: u64) -> usize {
+        replay.partition_point(|&(seq, _)| seq <= mark)
     }
 
     /// Deactivate a query.
@@ -204,13 +226,14 @@ impl InvaliDbCluster {
 
     /// Ingest one write event; returns all notifications it caused.
     pub fn on_write(&self, event: &WriteEvent) -> Vec<Notification> {
-        // Record for replay.
-        let seq = self
-            .ingest_seq
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst)
-            + 1;
+        // Record for replay. The sequence number is taken under the
+        // buffer's lock, so the buffer stays in sequence order.
         {
             let mut replay = self.replay.lock();
+            let seq = self
+                .ingest_seq
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst)
+                + 1;
             replay.push_back((seq, event.clone()));
             while replay.len() > self.config.replay_buffer {
                 replay.pop_front();
@@ -287,7 +310,7 @@ mod tests {
         let c = cluster(3, 3);
         let q = Query::table("posts").filter(Filter::contains("tags", "example"));
         let key = QueryKey::of(&q);
-        c.register_query(q, vec![], c.ingest_mark()).unwrap();
+        c.register_query(&q, &key, &[], c.ingest_mark()).unwrap();
         let n = c.on_write(&write_event(
             "posts",
             "p1",
@@ -322,7 +345,8 @@ mod tests {
             let c = cluster(qp, op);
             // Seed records first so updates have prior state.
             let q = Query::table("posts").filter(Filter::contains("tags", "example"));
-            c.register_query(q, vec![], c.ingest_mark()).unwrap();
+            c.register_query(&q, &QueryKey::of(&q), &[], c.ingest_mark())
+                .unwrap();
             let mut got: Vec<(String, String)> = Vec::new();
             for ev in &workloads {
                 for n in c.on_write(ev) {
@@ -346,7 +370,8 @@ mod tests {
         let initial: Vec<Arc<Document>> = (0..20)
             .map(|i| Arc::new(post(&format!("p{i}"), &["t"], i)))
             .collect();
-        c.register_query(q, initial, c.ingest_mark()).unwrap();
+        c.register_query(&q, &QueryKey::of(&q), &initial, c.ingest_mark())
+            .unwrap();
         // Removing any of the seeded records must notify Remove.
         let n = c.on_write(&write_event(
             "posts",
@@ -373,9 +398,40 @@ mod tests {
         ));
         let q = Query::table("posts").filter(Filter::contains("tags", "example"));
         // Initial result predates the insert: empty.
-        let replayed = c.register_query(q, vec![], 0).unwrap();
+        let replayed = c.register_query(&q, &QueryKey::of(&q), &[], 0).unwrap();
         assert_eq!(replayed.len(), 1, "the raced write is replayed");
         assert_eq!(replayed[0].event, NotificationEvent::Add);
+    }
+
+    #[test]
+    fn reregistration_replays_only_events_after_the_mark() {
+        let c = cluster(2, 2);
+        let q = Query::table("posts").filter(Filter::contains("tags", "x"));
+        let key = QueryKey::of(&q);
+        c.register_query(&q, &key, &[], c.ingest_mark()).unwrap();
+        let p1 = post("p1", &["x"], 1);
+        c.on_write(&write_event(
+            "posts",
+            "p1",
+            WriteKind::Insert,
+            p1.clone(),
+            1,
+        ));
+        let mark = c.ingest_mark();
+        c.on_write(&write_event(
+            "posts",
+            "p2",
+            WriteKind::Insert,
+            post("p2", &["x"], 2),
+            2,
+        ));
+        // The re-evaluation at `mark` saw p1 but not p2: only p2's insert
+        // raced it, and it re-enters the replaced matching set.
+        let replayed = c.register_query(&q, &key, &[Arc::new(p1)], mark).unwrap();
+        assert_eq!(replayed.len(), 1);
+        assert_eq!(replayed[0].record_id.as_ref(), "p2");
+        assert_eq!(replayed[0].event, NotificationEvent::Add);
+        assert_eq!(c.query_count(), 1);
     }
 
     #[test]
@@ -388,11 +444,12 @@ mod tests {
         });
         for i in 0..2 {
             let q = Query::table("t").filter(Filter::eq("n", i));
-            c.register_query(q, vec![], c.ingest_mark()).unwrap();
+            c.register_query(&q, &QueryKey::of(&q), &[], c.ingest_mark())
+                .unwrap();
         }
         let q3 = Query::table("t").filter(Filter::eq("n", 99));
         assert!(matches!(
-            c.register_query(q3, vec![], c.ingest_mark()),
+            c.register_query(&q3, &QueryKey::of(&q3), &[], c.ingest_mark()),
             Err(Error::Capacity(_))
         ));
         assert_eq!(c.query_count(), 2);
@@ -408,8 +465,9 @@ mod tests {
         let key = QueryKey::of(&q);
         let mark = c.ingest_mark();
         c.register_query(
-            q,
-            vec![Arc::new(post("a", &[], 10)), Arc::new(post("b", &[], 5))],
+            &q,
+            &key,
+            &[Arc::new(post("a", &[], 10)), Arc::new(post("b", &[], 5))],
             mark,
         )
         .unwrap();
@@ -436,7 +494,7 @@ mod tests {
         let c = cluster(2, 2);
         let q = Query::table("posts").filter(Filter::contains("tags", "x"));
         let key = QueryKey::of(&q);
-        c.register_query(q, vec![], c.ingest_mark()).unwrap();
+        c.register_query(&q, &key, &[], c.ingest_mark()).unwrap();
         c.deregister_query(&key);
         let n = c.on_write(&write_event(
             "posts",
@@ -452,7 +510,8 @@ mod tests {
     fn evaluations_counted_once_per_owning_row() {
         let c = cluster(1, 4);
         let q = Query::table("posts").filter(Filter::contains("tags", "x"));
-        c.register_query(q, vec![], c.ingest_mark()).unwrap();
+        c.register_query(&q, &QueryKey::of(&q), &[], c.ingest_mark())
+            .unwrap();
         for i in 0..40 {
             c.on_write(&write_event(
                 "posts",

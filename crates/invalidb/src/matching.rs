@@ -188,6 +188,47 @@ impl MatchingNode {
         });
     }
 
+    /// Overwrite the matching set of the registered query `key` with
+    /// `ids`, this node's share of a fresh initial result, in place. The
+    /// result is the state [`register`](Self::register) would build for
+    /// the same query, without rebuilding its slot and index entries; it
+    /// costs nothing when the set is unchanged. `ids` must be distinct.
+    /// Returns false, changing nothing, if `key` is not registered.
+    pub fn reseed<'a, I>(&mut self, key: &QueryKey, ids: I) -> bool
+    where
+        I: Iterator<Item = &'a str> + Clone,
+    {
+        let Some(&slot) = self.by_key.get(key) else {
+            return false;
+        };
+        let reg = self.slots[slot as usize].as_mut().expect("live slot");
+        if ids.clone().count() == reg.matching.len()
+            && ids.clone().all(|id| reg.matching.contains(id))
+        {
+            return true;
+        }
+        let table = self
+            .tables
+            .get_mut(&reg.query.table)
+            .expect("registered table");
+        let fresh: FxHashSet<&str> = ids.clone().collect();
+        reg.matching.retain(|id| {
+            let keep = fresh.contains(&**id);
+            if !keep {
+                unlink(&mut table.matched_by, id, slot);
+            }
+            keep
+        });
+        for id in ids {
+            if !reg.matching.contains(id) {
+                let id: Arc<str> = Arc::from(id);
+                table.matched_by.entry(id.clone()).or_default().insert(slot);
+                reg.matching.insert(id);
+            }
+        }
+        true
+    }
+
     /// Deregister; returns whether the query was present.
     pub fn deregister(&mut self, key: &QueryKey) -> bool {
         let Some(slot) = self.by_key.remove(key) else {
@@ -214,12 +255,7 @@ impl MatchingNode {
             }
         }
         for id in &reg.matching {
-            if let Some(slots) = table.matched_by.get_mut(id) {
-                slots.remove(&slot);
-                if slots.is_empty() {
-                    table.matched_by.remove(id);
-                }
-            }
+            unlink(&mut table.matched_by, id, slot);
         }
         if table.all.is_empty() {
             self.tables.remove(&reg.query.table);
@@ -315,12 +351,7 @@ impl MatchingNode {
                 }
                 (true, false) => {
                     reg.matching.remove(event.id.as_ref());
-                    if let Some(slots) = table.matched_by.get_mut(event.id.as_ref()) {
-                        slots.remove(&slot);
-                        if slots.is_empty() {
-                            table.matched_by.remove(event.id.as_ref());
-                        }
-                    }
+                    unlink(&mut table.matched_by, &event.id, slot);
                     Some(NotificationEvent::Remove)
                 }
                 (true, true) => Some(NotificationEvent::Change),
@@ -347,6 +378,17 @@ impl MatchingNode {
             v.sort();
             v
         })
+    }
+}
+
+/// Drop `slot` from the was-match entry of record `id`, and the entry
+/// itself once no query matches the record.
+fn unlink(matched_by: &mut FxHashMap<Arc<str>, FxHashSet<Slot>>, id: &str, slot: Slot) {
+    if let Some(slots) = matched_by.get_mut(id) {
+        slots.remove(&slot);
+        if slots.is_empty() {
+            matched_by.remove(id);
+        }
     }
 }
 
@@ -657,6 +699,22 @@ mod tests {
         node.register(q, k.clone(), vec![]);
         assert_eq!(node.query_count(), 1);
         assert!(node.matching_ids(&k).unwrap().is_empty());
+    }
+
+    #[test]
+    fn reseed_replaces_matching_set_in_place() {
+        let mut node = MatchingNode::new();
+        let (q, k) = eq_query(1);
+        node.register(q, k.clone(), vec!["r1".into(), "r2".into()]);
+        assert!(node.reseed(&k, ["r2", "r3"].into_iter()));
+        assert_eq!(node.matching_ids(&k).unwrap(), ["r2", "r3"]);
+        // r1 left the was-match index: its deletion is silent now, and
+        // r3's is a Remove.
+        let gone = write_event("t", "r1", WriteKind::Delete, doc! { "tag" => "v1" }, 1);
+        assert!(node.process(&gone).is_empty());
+        let r3 = write_event("t", "r3", WriteKind::Delete, doc! { "tag" => "v1" }, 2);
+        assert_eq!(node.process(&r3)[0].event, NotificationEvent::Remove);
+        assert!(!node.reseed(&eq_query(2).1, std::iter::empty()));
     }
 
     #[test]

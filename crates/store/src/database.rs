@@ -12,7 +12,7 @@ use crate::changes::{ChangeStream, ChangeSubscription};
 use crate::index::IndexKind;
 use crate::plan::{QueryStats, QueryStatsRef};
 use crate::sink::WriteSink;
-use crate::table::{new_sink_slot, SinkSlot, Table};
+use crate::table::{new_sink_slot, SinkSlot, StoredRecord, Table};
 
 /// A multi-table document database.
 ///
@@ -171,6 +171,12 @@ impl Database {
     /// Execute a query against its table.
     pub fn query(&self, query: &Query) -> Result<Vec<Arc<quaestor_document::Document>>> {
         Ok(self.table(&query.table)?.query(query))
+    }
+
+    /// Execute a query against its table, returning each member's primary
+    /// key and stored record (see [`Table::query_records`]).
+    pub fn query_records(&self, query: &Query) -> Result<Vec<(Arc<str>, StoredRecord)>> {
+        Ok(self.table(&query.table)?.query_records(query))
     }
 
     /// Subscribe to the global change stream (all tables).

@@ -416,8 +416,16 @@ impl Table {
     pub fn query(&self, query: &Query) -> Vec<Arc<Document>> {
         self.execute(query)
             .into_iter()
-            .map(|(_, doc)| doc)
+            .map(|(_, rec)| rec.doc)
             .collect()
+    }
+
+    /// [`query`](Self::query) with each member's primary key and stored
+    /// record. A member's document and version are read together under
+    /// its shard lock, so the version always labels that document, even
+    /// while writers race the query.
+    pub fn query_records(&self, query: &Query) -> Vec<(Arc<str>, StoredRecord)> {
+        self.execute(query)
     }
 
     /// Ids of all records matching a query (the id-list representation).
@@ -461,8 +469,9 @@ impl Table {
         paginate(hits, query.offset, query.limit)
     }
 
-    /// Plan and run a query, returning `(id, doc)` pairs in result order.
-    fn execute(&self, query: &Query) -> Vec<(Arc<str>, Arc<Document>)> {
+    /// Plan and run a query, returning `(id, record)` pairs in result
+    /// order.
+    fn execute(&self, query: &Query) -> Vec<(Arc<str>, StoredRecord)> {
         debug_assert_eq!(query.table.as_str(), &*self.name);
         // Shard locks must never be taken while holding the index lock
         // (writers hold a shard lock while they update indexes), so the
@@ -524,10 +533,10 @@ impl Table {
         let results = match candidates {
             Candidates::Buckets(buckets) => self.emit_in_order(query, buckets),
             Candidates::Ids(ids) => {
-                let hits: Vec<(Arc<str>, Arc<Document>)> = ids
+                let hits: Vec<(Arc<str>, StoredRecord)> = ids
                     .into_iter()
-                    .filter_map(|id| self.get(&id).map(|rec| (id, rec.doc)))
-                    .filter(|(_, doc)| matcher::matches(&query.filter, doc))
+                    .filter_map(|id| self.get(&id).map(|rec| (id, rec)))
+                    .filter(|(_, rec)| matcher::matches(&query.filter, &rec.doc))
                     .collect();
                 self.order_hits(query, &plan.describe.sort, hits)
             }
@@ -569,7 +578,7 @@ impl Table {
         &self,
         query: &Query,
         buckets: Vec<Vec<Arc<str>>>,
-    ) -> Vec<(Arc<str>, Arc<Document>)> {
+    ) -> Vec<(Arc<str>, StoredRecord)> {
         let want = match query.limit {
             Some(l) => match query.offset.saturating_add(l) {
                 0 => return Vec::new(),
@@ -580,12 +589,12 @@ impl Table {
         let mut seen = 0usize;
         let mut out = Vec::new();
         'buckets: for bucket in buckets {
-            let mut hits: Vec<(Arc<str>, Arc<Document>)> = bucket
+            let mut hits: Vec<(Arc<str>, StoredRecord)> = bucket
                 .into_iter()
-                .filter_map(|id| self.get(&id).map(|rec| (id, rec.doc)))
-                .filter(|(_, doc)| matcher::matches(&query.filter, doc))
+                .filter_map(|id| self.get(&id).map(|rec| (id, rec)))
+                .filter(|(_, rec)| matcher::matches(&query.filter, &rec.doc))
                 .collect();
-            hits.sort_by(|a, b| matcher::compare_docs(&a.1, &b.1, &query.sort));
+            hits.sort_by(|a, b| matcher::compare_docs(&a.1.doc, &b.1.doc, &query.sort));
             for hit in hits {
                 if seen >= query.offset {
                     out.push(hit);
@@ -607,19 +616,19 @@ impl Table {
         &self,
         query: &Query,
         strategy: &SortStrategy,
-        mut hits: Vec<(Arc<str>, Arc<Document>)>,
-    ) -> Vec<(Arc<str>, Arc<Document>)> {
+        mut hits: Vec<(Arc<str>, StoredRecord)>,
+    ) -> Vec<(Arc<str>, StoredRecord)> {
         match strategy {
             SortStrategy::TopK { k } => {
-                // The hits are already materialized, so carry the document
+                // The hits are already materialized, so carry the record
                 // alongside the extracted keys — no re-fetch — but compare
                 // on the keys, not by re-resolving paths per comparison.
-                let mut tk = TopK::new(*k, |a: &(SortEntry, Arc<Document>), b: &_| {
+                let mut tk = TopK::new(*k, |a: &(SortEntry, StoredRecord), b: &_| {
                     compare_entries(&a.0, &b.0, &query.sort)
                 });
-                for (id, doc) in hits {
-                    let entry = sort_entry(id, &doc, &query.sort);
-                    tk.push((entry, doc));
+                for (id, rec) in hits {
+                    let entry = sort_entry(id, &rec.doc, &query.sort);
+                    tk.push((entry, rec));
                 }
                 if tk.truncated() {
                     self.stats.record_short_circuit();
@@ -627,12 +636,12 @@ impl Table {
                 let ordered = tk
                     .into_sorted()
                     .into_iter()
-                    .map(|(entry, doc)| (entry.id, doc))
+                    .map(|(entry, rec)| (entry.id, rec))
                     .collect();
                 paginate(ordered, query.offset, query.limit)
             }
             _ => {
-                hits.sort_by(|a, b| matcher::compare_docs(&a.1, &b.1, &query.sort));
+                hits.sort_by(|a, b| matcher::compare_docs(&a.1.doc, &b.1.doc, &query.sort));
                 paginate(hits, query.offset, query.limit)
             }
         }
@@ -645,7 +654,7 @@ impl Table {
         &self,
         query: &Query,
         strategy: &SortStrategy,
-    ) -> Vec<(Arc<str>, Arc<Document>)> {
+    ) -> Vec<(Arc<str>, StoredRecord)> {
         let fast_filter = matches!(query.filter, Filter::True);
         match strategy {
             SortStrategy::TopK { k } => {
@@ -673,12 +682,12 @@ impl Table {
                 let winners = tk
                     .into_sorted()
                     .into_iter()
-                    .filter_map(|entry| self.get(&entry.id).map(|rec| (entry.id, rec.doc)))
+                    .filter_map(|entry| self.get(&entry.id).map(|rec| (entry.id, rec)))
                     .collect();
                 paginate(winners, query.offset, query.limit)
             }
             _ => {
-                let mut hits: Vec<(Arc<str>, Arc<Document>)> = Vec::new();
+                let mut hits: Vec<(Arc<str>, StoredRecord)> = Vec::new();
                 for shard in &self.shards {
                     let shard = shard.read();
                     hits.extend(
@@ -688,10 +697,10 @@ impl Table {
                             .filter(|(_, rec)| {
                                 fast_filter || matcher::matches(&query.filter, &rec.doc)
                             })
-                            .map(|(id, rec)| (id.clone(), rec.doc.clone())),
+                            .map(|(id, rec)| (id.clone(), rec.clone())),
                     );
                 }
-                hits.sort_by(|a, b| matcher::compare_docs(&a.1, &b.1, &query.sort));
+                hits.sort_by(|a, b| matcher::compare_docs(&a.1.doc, &b.1.doc, &query.sort));
                 paginate(hits, query.offset, query.limit)
             }
         }

@@ -57,8 +57,31 @@ impl WriteRateSampler {
     /// Estimated write rate of `key` at `now`, in writes **per ms**.
     /// `None` until at least two writes fall inside the window.
     pub fn rate(&self, key: &str, now: Timestamp) -> Option<f64> {
-        let keys = self.keys.lock();
-        let win = keys.get(key)?;
+        self.rate_in(&self.keys.lock(), key, now)
+    }
+
+    /// [`rate`](Self::rate) of each key, in order, read under one lock
+    /// acquisition. A query result's combined rate (λ_min of the
+    /// minimum-of-exponentials model) is the sum of its members' rates,
+    /// keys with no estimate contributing 0.
+    pub fn rates<'a>(
+        &self,
+        keys: impl IntoIterator<Item = &'a str>,
+        now: Timestamp,
+    ) -> Vec<Option<f64>> {
+        let map = self.keys.lock();
+        keys.into_iter()
+            .map(|k| self.rate_in(&map, k, now))
+            .collect()
+    }
+
+    fn rate_in(
+        &self,
+        map: &FxHashMap<String, KeyWindow>,
+        key: &str,
+        now: Timestamp,
+    ) -> Option<f64> {
+        let win = map.get(key)?;
         let horizon = now.minus(self.window_ms);
         let live = win.writes.iter().filter(|&&t| t >= horizon).count();
         if live < 2 {
@@ -66,20 +89,9 @@ impl WriteRateSampler {
         }
         // Effective window: from the older of (window start, first sample)
         // to now — avoids overestimating rates for keys hot only recently.
-        let first = *win.writes.iter().find(|&&t| t >= horizon).unwrap();
+        let first = *win.writes.iter().find(|&&t| t >= horizon)?;
         let span = now.since(first).max(1);
         Some((live as f64 - 1.0) / span as f64)
-    }
-
-    /// Sum of rates over several keys (λ_min of the minimum-of-
-    /// exponentials model for query results). Keys with no estimate
-    /// contribute 0.
-    pub fn combined_rate<'a>(
-        &self,
-        keys: impl IntoIterator<Item = &'a str>,
-        now: Timestamp,
-    ) -> f64 {
-        keys.into_iter().filter_map(|k| self.rate(k, now)).sum()
     }
 
     /// Drop all state for keys not written since `horizon` (maintenance).
@@ -138,7 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn combined_rate_sums() {
+    fn rates_sum_to_the_combined_rate() {
         let s = WriteRateSampler::new(100_000, 64);
         for i in 1..=10 {
             s.record_write("a", ts(i * 1_000)); // 0.001 w/ms
@@ -146,7 +158,10 @@ mod tests {
         for i in 1..=20 {
             s.record_write("b", ts(i * 500)); // 0.002 w/ms
         }
-        let combined = s.combined_rate(["a", "b", "silent"], ts(10_000));
+        let now = ts(10_000);
+        let rates = s.rates(["a", "b", "silent"], now);
+        assert_eq!(rates, [s.rate("a", now), s.rate("b", now), None]);
+        let combined: f64 = rates.iter().flatten().sum();
         assert!(
             (combined - 0.003).abs() < 0.001,
             "expected ~0.003, got {combined}"

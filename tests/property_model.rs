@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use quaestor::core::{Request, Response, Service, ServiceExt};
 use quaestor::document::{doc, Document, Value};
 use quaestor::invalidb::{ClusterConfig, InvaliDbCluster, NotificationEvent};
-use quaestor::query::{matcher, Filter, Op, Order, Query};
+use quaestor::query::{matcher, Filter, Op, Order, Query, QueryKey};
 use quaestor::store::Database;
 use std::sync::Arc;
 
@@ -83,7 +83,6 @@ proptest! {
         ops in proptest::collection::vec(arb_match_op(), 1..60),
     ) {
         use quaestor::invalidb::MatchingNode;
-        use quaestor::query::QueryKey;
 
         let mut indexed = MatchingNode::new();
         let mut linear = MatchingNode::linear();
@@ -223,7 +222,9 @@ proptest! {
             }
             current[i] = Some(with_id);
         }
-        cluster.register_query(q, seeded, cluster.ingest_mark()).unwrap();
+        cluster
+            .register_query(&q, &QueryKey::of(&q), &seeded, cluster.ingest_mark())
+            .unwrap();
 
         let mut seq = 100u64;
         for (slot, newdoc) in updates {
