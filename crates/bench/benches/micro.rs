@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use quaestor_bloom::{BloomFilter, BloomParams, CountingBloomFilter, ExpiringBloomFilter};
+use quaestor_client::body::object_list_body;
 use quaestor_common::ManualClock;
-use quaestor_core::response::object_list_body;
 use quaestor_core::{IndexKind, QuaestorServer};
 use quaestor_document::{decode_value, doc, Update, Value};
 use quaestor_query::{matcher, Filter, Query, QueryKey};

@@ -1,22 +1,20 @@
 //! The client SDK proper.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use quaestor_bloom::BloomFilter;
 use quaestor_common::{ClockRef, Error, Result, Timestamp};
-use quaestor_core::response::record_body;
-use quaestor_core::{
-    QuaestorServer, QueryResponse, RecordResponse, Request, Response, Service, ServiceExt,
-};
-use quaestor_document::{decode_value, Document, Update, Value};
+use quaestor_core::{QuaestorServer, Request, Response, Service, ServiceExt};
+use quaestor_document::{Document, Update};
 use quaestor_query::{Query, QueryKey};
 use quaestor_webcache::{
-    CacheEntry, CacheHierarchy, ExpirationCache, FetchMode, InvalidationCache, ServedBy,
+    CacheEntry, CacheHierarchy, ExpirationCache, FetchMode, FetchOutcome, InvalidationCache,
+    ServedBy,
 };
 
+use crate::body::{parse_body, parse_doc, record_entry, Cacheable, ParsedBody};
 use crate::config::{ClientConfig, Consistency};
 use crate::outcome::{QueryOutcome, ReadOutcome};
 use crate::session::SessionState;
@@ -336,66 +334,79 @@ impl QuaestorClient {
         if revalidated {
             self.metrics.revalidations.fetch_add(1, Ordering::Relaxed);
         }
-        let (entry, served_by) = self.fetch_record(table, id, key.as_str(), mode)?;
-        self.metrics.count(false, served_by);
+        let (mut outcome, mut origin) =
+            self.fetch_through(key.as_str(), mode, || self.service.get_record(table, id))?;
+        self.metrics.count(false, outcome.served_by);
 
         // Monotonic reads: never step backwards; a regressed version
         // triggers a revalidation that fetches a fresh copy.
-        let mut entry = entry;
-        let mut served = served_by;
-        if inner.session.observe_version(key.as_str(), entry.etag) {
+        if inner
+            .session
+            .observe_version(key.as_str(), outcome.entry.etag)
+        {
             // A cache (e.g. an out-of-date CDN edge) served an older
             // version than this session already saw. The stale copy may
             // survive at intermediate layers, so the repair bypasses all
             // of them and refreshes the chain with the origin copy.
-            let (fresh, sb) = self.fetch_record(table, id, key.as_str(), FetchMode::Bypass)?;
+            (outcome, origin) = self.fetch_through(key.as_str(), FetchMode::Bypass, || {
+                self.service.get_record(table, id)
+            })?;
             self.metrics.revalidations.fetch_add(1, Ordering::Relaxed);
-            inner.session.observe_version(key.as_str(), fresh.etag);
-            entry = fresh;
-            served = sb;
+            inner
+                .session
+                .observe_version(key.as_str(), outcome.entry.etag);
         }
-        if revalidated || served == ServedBy::Origin {
+        if revalidated || outcome.served_by == ServedBy::Origin {
             inner.session.whitelist.insert(key.as_str().to_owned());
         }
-        self.note_freshness(&mut inner, &entry, revalidated);
-        let doc = parse_doc(&entry.body)?;
+        self.note_freshness(&mut inner, &outcome.entry, revalidated);
+        let doc = match origin {
+            Some(resp) => owned(resp.doc),
+            None => parse_doc(&outcome.entry.body)?,
+        };
         Ok(ReadOutcome {
             doc,
-            version: entry.etag,
-            served_by: served,
+            version: outcome.entry.etag,
+            served_by: outcome.served_by,
             revalidated,
         })
     }
 
-    fn fetch_record(
+    /// Fetch `key` through the cache chain. On a full miss `origin` asks
+    /// the origin, and its response comes back beside the outcome, so
+    /// the caller reads the origin's documents and parses no body. The
+    /// body the traversed layers store is rendered only when one will
+    /// store it: the chain has a layer and the response a nonzero TTL.
+    fn fetch_through<R: Cacheable>(
         &self,
-        table: &str,
-        id: &str,
         key: &str,
         mode: FetchMode,
-    ) -> Result<(CacheEntry, ServedBy)> {
+        origin: impl FnOnce() -> Result<R>,
+    ) -> Result<(FetchOutcome, Option<R>)> {
         let now = self.clock.now();
-        let captured: RefCell<Option<Result<RecordResponse>>> = RefCell::new(None);
+        let mut answer = None;
         let outcome = self.hierarchy.fetch(key, now, mode, || {
-            let resp = self.service.get_record(table, id);
-            match resp {
-                Ok(r) => {
-                    let entry = CacheEntry::new(r.body.clone(), r.etag, now, r.ttl_ms);
-                    *captured.borrow_mut() = Some(Ok(r));
-                    entry
+            let (entry, resp) = match origin() {
+                Ok(resp) => {
+                    let stored = self.hierarchy.depth() > 0 && resp.ttl_ms() > 0;
+                    let body = if stored {
+                        resp.render()
+                    } else {
+                        bytes::Bytes::new()
+                    };
+                    (
+                        CacheEntry::new(body, resp.etag(), now, resp.ttl_ms()),
+                        Ok(resp),
+                    )
                 }
-                Err(e) => {
-                    *captured.borrow_mut() = Some(Err(e));
-                    // A dummy uncacheable entry; the error is propagated
-                    // below and the entry (ttl 0) is never stored.
-                    CacheEntry::new(bytes::Bytes::new(), 0, now, 0)
-                }
-            }
+                // A placeholder: with TTL 0 no layer stores it, and the
+                // error is returned below.
+                Err(e) => (CacheEntry::new(bytes::Bytes::new(), 0, now, 0), Err(e)),
+            };
+            answer = Some(resp);
+            entry
         });
-        if let Some(Err(e)) = captured.into_inner() {
-            return Err(e);
-        }
-        Ok((outcome.entry, outcome.served_by))
+        Ok((outcome, answer.transpose()?))
     }
 
     /// Execute a query with the client's default consistency.
@@ -413,27 +424,8 @@ impl QuaestorClient {
         if revalidated {
             self.metrics.revalidations.fetch_add(1, Ordering::Relaxed);
         }
-        let now = self.clock.now();
-        let captured: RefCell<Option<Result<QueryResponse>>> = RefCell::new(None);
-        let outcome = self.hierarchy.fetch(key.as_str(), now, mode, || {
-            let resp = self.service.query(query);
-            match resp {
-                Ok(r) => {
-                    let entry = CacheEntry::new(r.body.clone(), r.etag, now, r.ttl_ms);
-                    *captured.borrow_mut() = Some(Ok(r));
-                    entry
-                }
-                Err(e) => {
-                    *captured.borrow_mut() = Some(Err(e));
-                    CacheEntry::new(bytes::Bytes::new(), 0, now, 0)
-                }
-            }
-        });
-        let origin_resp = match captured.into_inner() {
-            Some(Err(e)) => return Err(e),
-            Some(Ok(r)) => Some(r),
-            None => None,
-        };
+        let (outcome, origin_resp) =
+            self.fetch_through(key.as_str(), mode, || self.service.query(query))?;
         self.metrics.count(true, outcome.served_by);
         if revalidated || outcome.served_by == ServedBy::Origin {
             inner.session.whitelist.insert(key.as_str().to_owned());
@@ -448,7 +440,8 @@ impl QuaestorClient {
             // "All records in a result are inserted into the cache as
             // individual entries, thus causing read cache hits by side
             // effect" (§6.2): each member becomes its own cache entry
-            // with its own ETag. Only clients with a private cache do so.
+            // with its own ETag. Only clients with a private cache do so,
+            // and only for a cacheable result.
             let mut inner = self.inner.lock();
             for ((id, version), doc) in resp
                 .ids
@@ -458,23 +451,17 @@ impl QuaestorClient {
                 .filter(|_| self.config.use_browser_cache)
             {
                 let rkey = QueryKey::record(&query.table, id);
-                let body = record_body(doc);
-                self.browser.put(
-                    rkey.as_str(),
-                    CacheEntry::new(body, *version, self.clock.now(), resp.ttl_ms),
-                );
+                if resp.ttl_ms > 0 {
+                    self.browser.put(
+                        rkey.as_str(),
+                        record_entry(doc, *version, self.clock.now(), resp.ttl_ms),
+                    );
+                }
                 inner.session.observe_version(rkey.as_str(), *version);
             }
             drop(inner);
             return Ok(QueryOutcome {
-                // Documents decoded off the wire are this response's own:
-                // move them out. Only shared ones (an in-process origin
-                // hands out the store's) are copied.
-                docs: resp
-                    .docs
-                    .into_iter()
-                    .map(|d| Arc::try_unwrap(d).unwrap_or_else(|d| (*d).clone()))
-                    .collect(),
+                docs: resp.docs.into_iter().map(owned).collect(),
                 etag: resp.etag,
                 served_by: outcome.served_by,
                 record_fetches: Vec::new(),
@@ -595,14 +582,16 @@ impl QuaestorClient {
     /// cache its own writes within a session." (§3.2)
     fn cache_own_write(&self, table: &str, id: &str, version: u64, image: &Document) {
         let key = QueryKey::record(table, id);
-        let body = record_body(image);
-        let now = self.clock.now();
         // Own writes are authoritative: cache with the refresh interval as
-        // a conservative local TTL.
-        self.browser.put(
-            key.as_str(),
-            CacheEntry::new(body, version, now, self.config.ebf_refresh_ms.max(1_000)),
-        );
+        // a conservative local TTL. A client without a private cache has
+        // nowhere to keep them.
+        if self.config.use_browser_cache {
+            let ttl_ms = self.config.ebf_refresh_ms.max(1_000);
+            self.browser.put(
+                key.as_str(),
+                record_entry(image, version, self.clock.now(), ttl_ms),
+            );
+        }
         let mut inner = self.inner.lock();
         inner.session.observe_version(key.as_str(), version);
         inner.session.whitelist.insert(key.as_str().to_owned());
@@ -642,57 +631,18 @@ impl BatchIdentity {
     }
 }
 
-enum ParsedBody {
-    Objects(Vec<Document>),
-    Ids(Vec<String>),
-}
-
-fn parse_doc(body: &[u8]) -> Result<Document> {
-    match decode_value(body)
-        .map_err(|e| Error::Internal(format!("malformed cached record body: {e}")))?
-    {
-        Value::Object(map) => Ok(map),
-        other => Err(Error::Internal(format!(
-            "cached record body is not an object: {other}"
-        ))),
-    }
-}
-
-fn parse_body(body: &[u8]) -> Result<ParsedBody> {
-    let v = decode_value(body)
-        .map_err(|e| Error::Internal(format!("malformed cached query body: {e}")))?;
-    let Value::Array(items) = v else {
-        return Err(Error::Internal("cached query body is not an array".into()));
-    };
-    if items.iter().all(|e| matches!(e, Value::Str(_))) && !items.is_empty() {
-        Ok(ParsedBody::Ids(
-            items
-                .into_iter()
-                .filter_map(|e| match e {
-                    Value::Str(id) => Some(id),
-                    _ => None,
-                })
-                .collect(),
-        ))
-    } else {
-        items
-            .into_iter()
-            .map(|e| match e {
-                Value::Object(map) => Ok(map),
-                other => Err(Error::Internal(format!(
-                    "query body element is not an object: {other}"
-                ))),
-            })
-            .collect::<Result<_>>()
-            .map(ParsedBody::Objects)
-    }
+/// An origin document as the caller's own. Documents decoded off the
+/// wire belong to their response alone and move out; shared ones (an
+/// in-process origin hands out the store's) are copied.
+fn owned(doc: Arc<Document>) -> Document {
+    Arc::try_unwrap(doc).unwrap_or_else(|d| (*d).clone())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use quaestor_common::{Clock, ManualClock};
-    use quaestor_document::doc;
+    use quaestor_document::{doc, Value};
     use quaestor_query::Filter;
 
     fn setup() -> (
@@ -1039,5 +989,73 @@ mod tests {
         c.read_record("posts", "p1").unwrap();
         c.delete("posts", "p1").unwrap();
         assert!(c.read_record("posts", "p1").is_err(), "gone is gone");
+    }
+
+    #[test]
+    fn a_client_without_caches_keeps_no_copies() {
+        let (server, _cdn, clock) = setup();
+        let cfg = ClientConfig {
+            use_browser_cache: false,
+            use_ebf: false,
+            ..ClientConfig::default()
+        };
+        let c = QuaestorClient::connect(server.clone(), &[], cfg, clock.clone());
+        c.insert("posts", "p1", doc! { "tag" => "hot", "n" => 1 })
+            .unwrap();
+        let r = c.read_record("posts", "p1").unwrap();
+        assert_eq!(
+            (r.served_by, r.doc["n"].clone()),
+            (ServedBy::Origin, Value::Int(1))
+        );
+        let q = Query::table("posts").filter(Filter::eq("tag", "hot"));
+        assert_eq!(c.query(&q).unwrap().docs.len(), 1);
+        assert!(
+            c.browser_cache().is_empty(),
+            "nothing reads the private cache of a client that has none"
+        );
+    }
+
+    #[test]
+    fn query_member_written_after_its_record_ttl_is_not_served_staler_than_delta() {
+        // The browser caches a query's members under the query's TTL, so
+        // the EBF must flag a write to a member for at least that long,
+        // even when the member's own record TTL is shorter.
+        let (server, cdn, clock) = setup();
+        server
+            .insert("t", "a", doc! { "g" => 0, "n" => 0 })
+            .unwrap();
+        server.insert("t", "b", doc! { "g" => 1 }).unwrap();
+        let c = client(&server, &cdn, &clock);
+        let q = Query::table("t").filter(Filter::eq("g", 1));
+        c.query(&q).unwrap();
+        // `a` joins the result 10 s later. The invalidation refines the
+        // query's TTL from that 10 s lifetime and the 600 s it started at,
+        // while `a`'s two writes give it a much shorter record TTL.
+        clock.advance(10_000);
+        server.update("t", "a", &Update::new().set("g", 1)).unwrap();
+        clock.advance(1_000);
+        let refetched = c.query(&q).unwrap();
+        assert_eq!(refetched.served_by, ServedBy::Origin);
+        assert_eq!(refetched.docs.len(), 2);
+        let a_key = QueryKey::record("t", "a");
+        let query_ttl = c
+            .browser_cache()
+            .peek(a_key.as_str(), clock.now())
+            .expect("member cached by the query")
+            .ttl_ms;
+        let record_ttl = server.get_record("t", "a").unwrap().ttl_ms;
+        // Written after its record TTL, inside the query's TTL...
+        let written_after = 29_000;
+        assert!(
+            record_ttl < written_after && written_after < query_ttl,
+            "record TTL {record_ttl} ms, query TTL {query_ttl} ms"
+        );
+        clock.advance(written_after);
+        server.update("t", "a", &Update::new().set("n", 1)).unwrap();
+        // ...and read more than Δ later.
+        clock.advance(2 * ClientConfig::default().ebf_refresh_ms);
+        let read = c.read_record("t", "a").unwrap();
+        assert_eq!(read.doc["n"], Value::Int(1), "served staler than Δ");
+        assert!(read.revalidated);
     }
 }

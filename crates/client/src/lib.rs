@@ -17,7 +17,11 @@
 //! * **Monotonic reads**: the client tracks the highest record version
 //!   seen and refuses to step backwards, revalidating if needed.
 //! * **Opt-in causal and strong consistency** per §3.2 (Figure 4).
+//!
+//! Origin responses carry documents; the [`body`] module renders the
+//! bodies cache layers store and parses the ones they serve.
 
+pub mod body;
 pub mod client;
 pub mod config;
 pub mod failover;

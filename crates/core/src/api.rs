@@ -1028,7 +1028,7 @@ mod tests {
         let svc: &dyn Service = &*s;
         svc.insert("t", "a", doc! { "tag" => "hot" }).unwrap();
         let q = Query::table("t").filter(Filter::eq("tag", "hot"));
-        let resp = svc.query(&q).unwrap();
+        svc.query(&q).unwrap();
         svc.batch(vec![Request::Update {
             table: "t".into(),
             id: "a".into(),
@@ -1037,7 +1037,7 @@ mod tests {
         .unwrap();
         let (flat, _) = svc.fetch_ebf().unwrap();
         assert!(
-            flat.contains(resp.key.as_str().as_bytes()),
+            flat.contains(QueryKey::of(&q).as_str().as_bytes()),
             "batched write must invalidate like a singleton write"
         );
     }

@@ -19,17 +19,6 @@ pub struct ServerConfig {
     /// Admission slots for actively matched queries (the capacity
     /// management model of §4.1).
     pub max_cached_queries: usize,
-    /// Write-rate sampling window (ms).
-    pub sampler_window_ms: u64,
-    /// Max write timestamps kept per record by the sampler.
-    pub sampler_max_samples: usize,
-    /// Assumed per-record cache hit rate fed to the representation cost
-    /// model (the paper measured "up to 60% for records" client-side).
-    pub assumed_record_hit_rate: f64,
-    /// Factor applied to a query's TTL for invalidation-based caches
-    /// ("invalidation-based caches support dedicated TTLs", §2): purges
-    /// make long CDN TTLs safe, so the default is 10x.
-    pub invalidation_cache_ttl_factor: f64,
 }
 
 impl Default for ServerConfig {
@@ -40,10 +29,6 @@ impl Default for ServerConfig {
             cost: CostModel::default(),
             invalidb: ClusterConfig::default(),
             max_cached_queries: 50_000,
-            sampler_window_ms: 60_000,
-            sampler_max_samples: 32,
-            assumed_record_hit_rate: 0.6,
-            invalidation_cache_ttl_factor: 10.0,
         }
     }
 }
@@ -57,7 +42,5 @@ mod tests {
         let c = ServerConfig::default();
         assert_eq!(c.bloom.byte_size(), 14_600);
         assert!(c.estimator.min_ttl_ms <= c.estimator.max_ttl_ms);
-        assert!(c.invalidation_cache_ttl_factor >= 1.0);
-        assert!((0.0..=1.0).contains(&c.assumed_record_hit_rate));
     }
 }

@@ -18,9 +18,18 @@ use quaestor_webcache::InvalidationCache;
 
 use crate::config::ServerConfig;
 use crate::metrics::ServerMetrics;
-use crate::response::{
-    id_list_body, object_list_body, record_body, result_etag, QueryResponse, RecordResponse,
-};
+use crate::response::{result_etag, QueryResponse, RecordResponse};
+
+/// Write-rate sampling window: a record's rate counts its writes of the
+/// last minute.
+const SAMPLER_WINDOW_MS: u64 = 60_000;
+
+/// Write timestamps the sampler keeps per record.
+const SAMPLER_MAX_SAMPLES: usize = 32;
+
+/// Per-record cache hit rate the representation cost model assumes: the
+/// paper measured client cache hit rates of "up to 60% for records".
+const ASSUMED_RECORD_HIT_RATE: f64 = 0.6;
 
 /// The origin server of Figure 3: database service + cache coherence
 /// machinery.
@@ -78,7 +87,7 @@ impl QuaestorServer {
         QuaestorServer {
             ebf: PartitionedEbf::new(config.bloom, clock.clone()),
             estimator: TtlEstimator::new(config.estimator),
-            sampler: WriteRateSampler::new(config.sampler_window_ms, config.sampler_max_samples),
+            sampler: WriteRateSampler::new(SAMPLER_WINDOW_MS, SAMPLER_MAX_SAMPLES),
             active: ActiveList::new(16),
             capacity: CapacityManager::new(config.max_cached_queries),
             cost: config.cost,
@@ -470,19 +479,11 @@ impl QuaestorServer {
         // Report to the EBF *before* replying, so any invalidation racing
         // this response finds the ledger entry (Figure 7 step 2).
         self.ebf.report_read(table, key.as_str(), ttl_ms);
-        let body = record_body(&rec.doc);
         Ok(RecordResponse {
-            key,
-            body,
             etag: rec.version,
             ttl_ms,
-            invalidation_ttl_ms: self.invalidation_ttl(ttl_ms),
             doc: rec.doc,
         })
-    }
-
-    fn invalidation_ttl(&self, ttl_ms: u64) -> u64 {
-        (ttl_ms as f64 * self.config.invalidation_cache_ttl_factor) as u64
     }
 
     /// Origin evaluation of a query (cache miss or revalidation) — step 4
@@ -528,16 +529,12 @@ impl QuaestorServer {
         if !admitted {
             // Served uncacheable: ttl 0, not registered anywhere.
             return Ok(QueryResponse {
-                key,
-                body: object_list_body(&docs),
                 etag,
                 ttl_ms: 0,
-                invalidation_ttl_ms: 0,
                 representation: Representation::ObjectList,
                 ids,
                 versions,
                 docs,
-                cacheable: false,
             });
         }
 
@@ -606,26 +603,23 @@ impl QuaestorServer {
         // Per-record side effect: "all records in a result are inserted
         // into the cache as individual entries" (§6.2) — the server
         // reports each member read so the EBF can cover them, and the
-        // response carries the members so caches can store them.
+        // response carries the members so caches can store them. The
+        // client caches a member under the query's TTL, so the EBF must
+        // hold the member at least that long: a shorter record TTL would
+        // let the filter forget a key a browser still holds, and a later
+        // write to it would go unflagged past Δ.
         for (rkey, rate) in member_keys.iter().zip(rates) {
-            ebf.report_read(rkey.as_str(), self.estimator.record_ttl(rate));
+            let member_ttl = self.estimator.record_ttl(rate).max(ttl_ms);
+            ebf.report_read(rkey.as_str(), member_ttl);
         }
 
-        let body = match representation {
-            Representation::ObjectList => object_list_body(&docs),
-            Representation::IdList => id_list_body(&ids),
-        };
         Ok(QueryResponse {
-            key,
-            body,
             etag,
             ttl_ms,
-            invalidation_ttl_ms: self.invalidation_ttl(ttl_ms),
             representation,
             ids,
             versions,
             docs,
-            cacheable: true,
         })
     }
 
@@ -642,7 +636,7 @@ impl QuaestorServer {
             membership_change_rate: state.membership_change_rate(now),
             change_rate: state.value_change_rate(now),
             result_size,
-            record_hit_rate: self.config.assumed_record_hit_rate,
+            record_hit_rate: ASSUMED_RECORD_HIT_RATE,
         };
         self.cost.choose(&w)
     }
@@ -813,7 +807,7 @@ mod tests {
         s.update("posts", "p1", &Update::new().set("kind", "draft"))
             .unwrap();
         let (flat, _) = s.ebf_snapshot();
-        assert!(flat.contains(resp.key.as_str().as_bytes()));
+        assert!(flat.contains(QueryKey::record("posts", "p1").as_str().as_bytes()));
     }
 
     #[test]
@@ -891,7 +885,7 @@ mod tests {
         s.insert("posts", "p2", tagged("p2", &["music"])).unwrap();
         let q = Query::table("posts").filter(Filter::contains("tags", "example"));
         let resp = s.query(&q).unwrap();
-        assert!(resp.cacheable);
+        assert!(resp.ttl_ms > 0, "admitted, so cacheable");
         assert_eq!(resp.ids, vec!["p1"]);
         assert_eq!(s.active_query_count(), 1);
 
@@ -902,7 +896,7 @@ mod tests {
             .unwrap();
         let (flat, _) = s.ebf_snapshot();
         assert!(
-            flat.contains(resp.key.as_str().as_bytes()),
+            flat.contains(QueryKey::of(&q).as_str().as_bytes()),
             "query key must be stale in the EBF"
         );
         assert_eq!(s.metrics().query_invalidations.get(), 1);
@@ -913,11 +907,11 @@ mod tests {
         let (s, _) = server();
         s.insert("posts", "p1", tagged("p1", &["example"])).unwrap();
         let q = Query::table("posts").filter(Filter::contains("tags", "example"));
-        let resp = s.query(&q).unwrap();
+        s.query(&q).unwrap();
         s.insert("posts", "p9", tagged("p9", &["unrelated"]))
             .unwrap();
         let (flat, _) = s.ebf_snapshot();
-        assert!(!flat.contains(resp.key.as_str().as_bytes()));
+        assert!(!flat.contains(QueryKey::of(&q).as_str().as_bytes()));
     }
 
     #[test]
@@ -930,13 +924,8 @@ mod tests {
         let resp = s.query(&q).unwrap();
         // Simulate the CDN having cached it.
         cdn.put(
-            resp.key.as_str(),
-            quaestor_webcache::CacheEntry::new(
-                resp.body.clone(),
-                resp.etag,
-                Timestamp::ZERO,
-                60_000,
-            ),
+            QueryKey::of(&q).as_str(),
+            quaestor_webcache::CacheEntry::new(&b"[]"[..], resp.etag, Timestamp::ZERO, 60_000),
         );
         s.update("posts", "p1", &Update::new().pull("tags", "example"))
             .unwrap();
@@ -954,7 +943,7 @@ mod tests {
         clock.advance(2_000); // actual TTL will be 2000 ms
         s.update("posts", "p1", &Update::new().pull("tags", "t"))
             .unwrap();
-        let state = s.active_list().get(&r1.key).unwrap();
+        let state = s.active_list().get(&QueryKey::of(&q)).unwrap();
         assert!(
             state.ttl_ms < initial_ttl,
             "EWMA must pull the estimate down towards 2000 (was {initial_ttl}, now {})",
@@ -975,13 +964,12 @@ mod tests {
         s.insert("t", "a", doc! { "n" => 1 }).unwrap();
         let q1 = Query::table("t").filter(Filter::eq("n", 1));
         let r1 = s.query(&q1).unwrap();
-        assert!(r1.cacheable);
+        assert!(r1.ttl_ms > 0);
         // Raise q1's score so q2 cannot evict it.
         s.query(&q1).unwrap();
         let q2 = Query::table("t").filter(Filter::eq("n", 2));
         let r2 = s.query(&q2).unwrap();
-        assert!(!r2.cacheable);
-        assert_eq!(r2.ttl_ms, 0);
+        assert_eq!(r2.ttl_ms, 0, "rejected, so uncacheable");
     }
 
     #[test]
@@ -989,10 +977,10 @@ mod tests {
         let (s, _) = server();
         s.insert("posts", "p1", tagged("p1", &["x"])).unwrap();
         let q = Query::table("posts").filter(Filter::contains("tags", "x"));
-        let resp = s.query(&q).unwrap();
+        s.query(&q).unwrap();
         s.delete("posts", "p1").unwrap();
         let (flat, _) = s.ebf_snapshot();
-        assert!(flat.contains(resp.key.as_str().as_bytes()));
+        assert!(flat.contains(QueryKey::of(&q).as_str().as_bytes()));
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -1019,7 +1007,7 @@ mod tests {
             s.insert("posts", "p1", tagged("p1", &["x"])).unwrap();
             s.insert("posts", "p2", tagged("p2", &["y"])).unwrap();
             let resp = s.query(&q).unwrap();
-            assert!(resp.cacheable);
+            assert!(resp.ttl_ms > 0);
             s.delete("posts", "p2").unwrap();
             // Crash: drop without flush (fsync=Always already persisted).
         }
@@ -1176,7 +1164,7 @@ mod tests {
         // invalidation so replicated writes mark local caches stale.
         let q = Query::table("posts").filter(Filter::contains("tags", "x"));
         let resp = replica.query(&q).unwrap();
-        assert!(resp.cacheable);
+        assert!(resp.ttl_ms > 0);
         assert_eq!(dst.last_lsn(), src.last_lsn(), "query must not self-log");
 
         // A replicated write entering the result invalidates the query.
@@ -1191,7 +1179,7 @@ mod tests {
         assert_eq!(dst.last_lsn(), after);
         let (flat, _) = replica.ebf_snapshot();
         assert!(
-            flat.contains(resp.key.as_str().as_bytes()),
+            flat.contains(QueryKey::of(&q).as_str().as_bytes()),
             "replicated write must invalidate the replica-registered query"
         );
 

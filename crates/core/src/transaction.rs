@@ -217,13 +217,13 @@ mod tests {
         let s = QuaestorServer::with_defaults(ManualClock::new());
         s.insert("t", "a", doc! { "tag" => "hot" }).unwrap();
         let q = Query::table("t").filter(Filter::eq("tag", "hot"));
-        let resp = s.query(&q).unwrap();
+        s.query(&q).unwrap();
         let mut tx = Transaction::new();
         tx.update("t", "a", Update::new().set("tag", "cold"));
         s.commit(tx).unwrap();
         let (flat, _) = s.ebf_snapshot();
         assert!(
-            flat.contains(resp.key.as_str().as_bytes()),
+            flat.contains(quaestor_query::QueryKey::of(&q).as_str().as_bytes()),
             "transactional writes flow through the invalidation pipeline"
         );
     }

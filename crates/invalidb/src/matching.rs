@@ -86,6 +86,7 @@ pub struct MatchingNode {
     evaluations_skipped: u64,
     /// Reference mode: evaluate every same-table query linearly (the
     /// pre-index behaviour), used by differential tests and benchmarks.
+    #[cfg(any(test, feature = "oracle"))]
     linear: bool,
     /// Reusable candidate buffer (avoids a per-event allocation).
     scratch: Vec<Slot>,
@@ -105,25 +106,13 @@ impl std::fmt::Debug for MatchingNode {
             .field("queries", &self.by_key.len())
             .field("evaluations", &self.evaluations)
             .field("evaluations_skipped", &self.evaluations_skipped)
-            .field("linear", &self.linear)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
 impl MatchingNode {
     /// An empty node with the predicate index enabled.
     pub fn new() -> MatchingNode {
-        Self::with_mode(false)
-    }
-
-    /// An empty node that scans every same-table query per event — the
-    /// exact pre-index semantics, kept as the reference implementation for
-    /// equivalence tests and the indexed-vs-linear benchmark.
-    pub fn linear() -> MatchingNode {
-        Self::with_mode(true)
-    }
-
-    fn with_mode(linear: bool) -> MatchingNode {
         MatchingNode {
             slots: Vec::new(),
             free: Vec::new(),
@@ -131,9 +120,21 @@ impl MatchingNode {
             tables: FxHashMap::default(),
             evaluations: 0,
             evaluations_skipped: 0,
-            linear,
+            #[cfg(any(test, feature = "oracle"))]
+            linear: false,
             scratch: Vec::new(),
             scratch_val: String::new(),
+        }
+    }
+
+    /// An empty node that scans every same-table query per event — the
+    /// exact pre-index semantics, kept as a test oracle for equivalence
+    /// tests and the indexed-vs-linear benchmark.
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn linear() -> MatchingNode {
+        MatchingNode {
+            linear: true,
+            ..Self::new()
         }
     }
 
@@ -290,7 +291,11 @@ impl MatchingNode {
         };
         let mut candidates = std::mem::take(&mut self.scratch);
         candidates.clear();
-        if self.linear {
+        #[cfg(any(test, feature = "oracle"))]
+        let linear = self.linear;
+        #[cfg(not(any(test, feature = "oracle")))]
+        let linear = false;
+        if linear {
             candidates.extend(table.all.iter().copied());
         } else {
             if event.kind != WriteKind::Delete {

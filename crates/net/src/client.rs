@@ -33,7 +33,8 @@ use quaestor_kv::PubSub;
 use crate::codec::{self, WireResponse};
 use crate::wire::{self, FrameDecode, FrameKind};
 
-/// Tunables for a [`RemoteService`].
+/// Tunables for a [`RemoteService`]. Connections always run with
+/// Nagle's algorithm off, for pipelined latency.
 #[derive(Debug, Clone)]
 pub struct RemoteServiceConfig {
     /// Number of pooled connections. Calls are spread round-robin; any
@@ -49,10 +50,6 @@ pub struct RemoteServiceConfig {
     pub reconnect_backoff: Duration,
     /// Ceiling for the reconnect backoff.
     pub max_backoff: Duration,
-    /// Disable Nagle's algorithm (keep `true` for pipelined latency).
-    pub nodelay: bool,
-    /// Per-connection read chunk size.
-    pub read_chunk: usize,
     /// Seed for the reconnect backoff jitter. Every sleep is scaled by a
     /// factor uniform in `[0.5, 1.5)` so N clients failing over together
     /// don't hammer a recovering server in lockstep. `None` (the
@@ -69,8 +66,6 @@ impl Default for RemoteServiceConfig {
             request_timeout: Duration::from_secs(10),
             reconnect_backoff: Duration::from_millis(20),
             max_backoff: Duration::from_secs(1),
-            nodelay: true,
-            read_chunk: 64 * 1024,
             reconnect_jitter_seed: None,
         }
     }
@@ -205,9 +200,7 @@ impl RemoteService {
     fn open_conn(&self) -> Result<Arc<Conn>> {
         let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)
             .map_err(|e| net_err("connect", e))?;
-        if self.config.nodelay {
-            let _ = stream.set_nodelay(true);
-        }
+        let _ = stream.set_nodelay(true);
         let writer = stream.try_clone().map_err(|e| net_err("clone socket", e))?;
         let reader = stream.try_clone().map_err(|e| net_err("clone socket", e))?;
         let conn = Arc::new(Conn {
@@ -226,10 +219,9 @@ impl RemoteService {
         });
         let conn2 = conn.clone();
         let bus = self.bus.clone();
-        let chunk_size = self.config.read_chunk;
         std::thread::Builder::new()
             .name("qnet-client-reader".to_owned())
-            .spawn(move || run_reader(conn2, reader, bus, chunk_size))
+            .spawn(move || run_reader(conn2, reader, bus))
             .map_err(|e| net_err("spawn reader thread", e))?;
         Ok(conn)
     }
@@ -395,9 +387,9 @@ impl Service for RemoteService {
 
 /// The per-connection demultiplexer: routes response frames to waiting
 /// callers and push frames onto the local bus.
-fn run_reader(conn: Arc<Conn>, mut stream: TcpStream, bus: Arc<PubSub>, chunk_size: usize) {
-    let mut buf = BytesMut::with_capacity(chunk_size);
-    let mut chunk = vec![0u8; chunk_size];
+fn run_reader(conn: Arc<Conn>, mut stream: TcpStream, bus: Arc<PubSub>) {
+    let mut buf = BytesMut::with_capacity(wire::READ_CHUNK);
+    let mut chunk = vec![0u8; wire::READ_CHUNK];
     'conn: loop {
         loop {
             let advance = match wire::decode_frame(&buf) {

@@ -23,7 +23,6 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
 use quaestor_bloom::BloomFilter;
 use quaestor_common::{Error, Result, Timestamp};
 use quaestor_core::{
@@ -691,31 +690,22 @@ fn get_response_at(r: &mut Reader<'_>, depth: usize) -> DResult<WireResponse> {
 }
 
 fn put_record_response(w: &mut Writer, rec: &RecordResponse) {
-    w.put_str(rec.key.as_str());
-    w.put_bytes(&rec.body);
     w.put_u64(rec.etag);
     w.put_u64(rec.ttl_ms);
-    w.put_u64(rec.invalidation_ttl_ms);
     put_document(w, &rec.doc);
 }
 
 fn get_record_response(r: &mut Reader<'_>) -> DResult<RecordResponse> {
     Ok(RecordResponse {
-        key: QueryKey::from_canonical(r.str()?),
-        body: Bytes::from(r.bytes()?.to_vec()),
         etag: r.u64()?,
         ttl_ms: r.u64()?,
-        invalidation_ttl_ms: r.u64()?,
         doc: Arc::new(get_document(r)?),
     })
 }
 
 fn put_query_response(w: &mut Writer, q: &QueryResponse) {
-    w.put_str(q.key.as_str());
-    w.put_bytes(&q.body);
     w.put_u64(q.etag);
     w.put_u64(q.ttl_ms);
-    w.put_u64(q.invalidation_ttl_ms);
     w.put_u8(match q.representation {
         Representation::ObjectList => 0,
         Representation::IdList => 1,
@@ -732,15 +722,11 @@ fn put_query_response(w: &mut Writer, q: &QueryResponse) {
     for d in &q.docs {
         put_document(w, d);
     }
-    w.put_u8(q.cacheable as u8);
 }
 
 fn get_query_response(r: &mut Reader<'_>) -> DResult<QueryResponse> {
-    let key = QueryKey::from_canonical(r.str()?);
-    let body = Bytes::from(r.bytes()?.to_vec());
     let etag = r.u64()?;
     let ttl_ms = r.u64()?;
-    let invalidation_ttl_ms = r.u64()?;
     let representation = match r.u8()? {
         0 => Representation::ObjectList,
         1 => Representation::IdList,
@@ -770,18 +756,13 @@ fn get_query_response(r: &mut Reader<'_>) -> DResult<QueryResponse> {
     for _ in 0..n {
         docs.push(Arc::new(get_document(r)?));
     }
-    let cacheable = r.u8()? != 0;
     Ok(QueryResponse {
-        key,
-        body,
         etag,
         ttl_ms,
-        invalidation_ttl_ms,
         representation,
         ids,
         versions,
         docs,
-        cacheable,
     })
 }
 
@@ -1111,56 +1092,34 @@ mod tests {
     }
 
     fn arb_record_response() -> impl Strategy<Value = RecordResponse> {
-        (
-            arb_key(),
-            proptest::collection::vec(any::<u8>(), 0..32),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            arb_doc(),
-        )
-            .prop_map(|(key, body, etag, ttl_ms, invalidation_ttl_ms, doc)| {
-                RecordResponse {
-                    key,
-                    body: Bytes::from(body),
-                    etag,
-                    ttl_ms,
-                    invalidation_ttl_ms,
-                    doc: Arc::new(doc),
-                }
-            })
+        (any::<u64>(), any::<u64>(), arb_doc()).prop_map(|(etag, ttl_ms, doc)| RecordResponse {
+            etag,
+            ttl_ms,
+            doc: Arc::new(doc),
+        })
     }
 
     fn arb_query_response() -> impl Strategy<Value = QueryResponse> {
         (
-            arb_key(),
-            proptest::collection::vec(any::<u8>(), 0..32),
             any::<u64>(),
-            (any::<u64>(), any::<u64>()),
+            any::<u64>(),
             any::<bool>(),
             proptest::collection::vec("[a-z0-9]{1,6}", 0..4),
             proptest::collection::vec(any::<u64>(), 0..4),
             proptest::collection::vec(arb_doc(), 0..3),
-            any::<bool>(),
         )
             .prop_map(
-                |(key, body, etag, (ttl_ms, inv_ttl), id_list, ids, versions, docs, cacheable)| {
-                    QueryResponse {
-                        key,
-                        body: Bytes::from(body),
-                        etag,
-                        ttl_ms,
-                        invalidation_ttl_ms: inv_ttl,
-                        representation: if id_list {
-                            Representation::IdList
-                        } else {
-                            Representation::ObjectList
-                        },
-                        ids,
-                        versions,
-                        docs: docs.into_iter().map(Arc::new).collect(),
-                        cacheable,
-                    }
+                |(etag, ttl_ms, id_list, ids, versions, docs)| QueryResponse {
+                    etag,
+                    ttl_ms,
+                    representation: if id_list {
+                        Representation::IdList
+                    } else {
+                        Representation::ObjectList
+                    },
+                    ids,
+                    versions,
+                    docs: docs.into_iter().map(Arc::new).collect(),
                 },
             )
     }

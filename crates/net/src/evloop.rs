@@ -46,7 +46,7 @@ use crate::poll::{Event, Interest, Poller};
 use crate::wire::{self, FrameDecode, FrameKind};
 
 /// Per-event read bound: one connection may pull at most this many
-/// `read_chunk`s before yielding to its shard siblings (level
+/// [`wire::READ_CHUNK`]s before yielding to its shard siblings (level
 /// triggering re-reports the remainder).
 const MAX_READS_PER_EVENT: usize = 16;
 
@@ -62,7 +62,6 @@ pub(crate) enum Task {
 /// What a shard needs from the server that owns it.
 pub(crate) struct ShardCtx {
     pub service: Arc<dyn Service>,
-    pub read_chunk: usize,
     pub max_write_buffer: usize,
     pub requests_served: Arc<AtomicU64>,
 }
@@ -180,7 +179,7 @@ struct Shard {
 
 impl Shard {
     fn new(handle: ShardHandle, ctx: ShardCtx) -> Shard {
-        let chunk = vec![0u8; ctx.read_chunk.max(1)];
+        let chunk = vec![0u8; wire::READ_CHUNK];
         Shard {
             handle,
             ctx,

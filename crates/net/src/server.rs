@@ -46,16 +46,11 @@ use quaestor_core::Service;
 use crate::evloop::{self, ShardCtx, ShardHandle, Task};
 use crate::wire;
 
-/// Tunables for a [`NetServer`].
+/// Tunables for a [`NetServer`]. Accepted sockets always run with
+/// Nagle's algorithm off: pipelined request/response traffic is
+/// latency-bound on small writes.
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
-    /// Size of the shard-level read chunk (bytes pulled per `read`
-    /// syscall into a connection's read buffer).
-    pub read_chunk: usize,
-    /// Disable Nagle's algorithm on accepted sockets. Pipelined
-    /// request/response traffic is latency-bound on small writes, so the
-    /// default is `true`.
-    pub nodelay: bool,
     /// Event-loop shard count; `0` means one per available core.
     pub shards: usize,
     /// Slow-consumer bound: a connection whose staged write queue still
@@ -68,8 +63,6 @@ pub struct NetServerConfig {
 impl Default for NetServerConfig {
     fn default() -> Self {
         NetServerConfig {
-            read_chunk: 64 * 1024,
-            nodelay: true,
             shards: 0,
             max_write_buffer: wire::MAX_FRAME_PAYLOAD as usize + 64 * 1024,
         }
@@ -138,7 +131,6 @@ struct Shared {
     requests_served: Arc<AtomicU64>,
     connections_accepted: AtomicU64,
     next_shard: AtomicUsize,
-    nodelay: bool,
 }
 
 impl std::fmt::Debug for NetServer {
@@ -185,7 +177,6 @@ impl NetServer {
         for index in 0..shard_count {
             let ctx = ShardCtx {
                 service: service.clone(),
-                read_chunk: config.read_chunk.max(1),
                 max_write_buffer: config.max_write_buffer,
                 requests_served: requests_served.clone(),
             };
@@ -218,7 +209,6 @@ impl NetServer {
             requests_served,
             connections_accepted: AtomicU64::new(0),
             next_shard: AtomicUsize::new(0),
-            nodelay: config.nodelay,
         });
         let accept_shared = shared.clone();
         let accept = std::thread::Builder::new()
@@ -330,9 +320,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             return;
         }
         shared.connections_accepted.fetch_add(1, Ordering::Relaxed);
-        if shared.nodelay {
-            let _ = stream.set_nodelay(true);
-        }
+        let _ = stream.set_nodelay(true);
         let index = shared.next_shard.fetch_add(1, Ordering::Relaxed) % shared.shards.len();
         shared.shards[index].send(Task::Accept(stream));
     }

@@ -27,7 +27,7 @@ use quaestor_durability::frame::crc32;
 
 /// Current protocol version. Bump on any incompatible change to the
 /// payload layout; see `DESIGN.md` for the versioning rules.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Hard ceiling on a single frame's payload. Bounds the allocation a
 /// corrupt or hostile length prefix can trigger. Large batches and EBF
@@ -39,6 +39,10 @@ pub const FRAME_HEADER: usize = 8;
 
 /// Payload prologue size: `version` + `kind` + `request_id`.
 pub const PAYLOAD_PROLOGUE: usize = 10;
+
+/// Bytes pulled per `read` syscall into a connection's read buffer, on
+/// both ends of a connection.
+pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
 /// What a frame carries; the first byte after the version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,6 +220,87 @@ pub fn decode_frame(buf: &[u8]) -> FrameDecode<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One `Response::Record` and one `Response::Query` frame of this
+    /// protocol version, byte for byte (see the test below).
+    const GOLDEN_RECORD_FRAME: &str = concat!(
+        "3a000000",                                                       // payload length
+        "94ac9e4b",                                                       // crc32
+        "02",                                                             // protocol version
+        "01",                                                             // ResponseOk
+        "0700000000000000",                                               // request id
+        "00",                                                             // Response::Record
+        "0300000000000000",                                               // etag
+        "60ea000000000000",                                               // ttl_ms
+        "02000000030000005f6964040100000061010000006e020100000000000000", // doc
+    );
+    const GOLDEN_QUERY_FRAME: &str = concat!(
+        "85000000",         // payload length
+        "f9c36340",         // crc32
+        "02",               // protocol version
+        "01",               // ResponseOk
+        "0700000000000000", // request id
+        "01",               // Response::Query
+        "efcdab8967452301", // etag
+        "8813000000000000", // ttl_ms
+        "01",               // id-list
+        "02000000",         // two ids
+        "0100000061",       // "a"
+        "0100000062",       // "b"
+        "02000000",         // two versions
+        "0300000000000000", // 3
+        "0700000000000000", // 7
+        "02000000",         // two docs
+        "02000000030000005f6964040100000061010000006e020100000000000000",
+        "02000000030000005f696404010000006204000000746167730501000000040100000078",
+    );
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Pins the layout of the two cacheable responses to
+    /// `PROTOCOL_VERSION`: a change to either layout fails here until the
+    /// version is bumped and the golden hex regenerated.
+    #[test]
+    fn response_frames_match_the_golden_bytes_of_this_version() {
+        use std::sync::Arc;
+
+        use quaestor_core::{QueryResponse, RecordResponse, Response};
+        use quaestor_document::doc;
+        use quaestor_ttl::Representation;
+
+        let a = Arc::new(doc! { "_id" => "a", "n" => 1 });
+        let b = Arc::new(doc! { "_id" => "b", "tags" => vec!["x"] });
+        let record = Response::Record(RecordResponse {
+            etag: 3,
+            ttl_ms: 60_000,
+            doc: a.clone(),
+        });
+        let query = Response::Query(QueryResponse {
+            etag: 0x0123_4567_89ab_cdef,
+            ttl_ms: 5_000,
+            representation: Representation::IdList,
+            ids: vec!["a".into(), "b".into()],
+            versions: vec![3, 7],
+            docs: vec![a, b],
+        });
+        for (name, resp, golden) in [
+            ("record", record, GOLDEN_RECORD_FRAME),
+            ("query", query, GOLDEN_QUERY_FRAME),
+        ] {
+            let mut frame = Vec::new();
+            let body = crate::codec::encode_response(&resp);
+            encode_frame(FrameKind::ResponseOk, 7, &body, &mut frame);
+            assert_eq!(
+                hex(&frame),
+                golden,
+                "the {name} response frame changed: bump PROTOCOL_VERSION (see \
+                 crates/net/DESIGN.md, Versioning rules), then regenerate the golden \
+                 hex from the left-hand value"
+            );
+        }
+    }
 
     #[test]
     fn frame_roundtrip_with_request_id() {

@@ -72,7 +72,6 @@ fn slow_consumer_is_dropped_while_the_shard_keeps_serving() {
         NetServerConfig {
             shards: 1, // both connections on one shard: the drop must not stall it
             max_write_buffer: 64 * 1024,
-            ..NetServerConfig::default()
         },
     )
     .expect("bind");

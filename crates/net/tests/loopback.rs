@@ -31,7 +31,7 @@ fn every_request_variant_round_trips_over_the_socket() {
     let rec = svc.get_record("t", "a").unwrap();
     assert_eq!(rec.etag, 1);
     assert_eq!(rec.doc["n"], Value::Int(1));
-    assert_eq!(rec.key, QueryKey::record("t", "a"));
+    assert!(rec.ttl_ms > 0);
     let (v2, _) = svc.update("t", "a", &Update::new().inc("n", 1.0)).unwrap();
     assert_eq!(v2, 2);
     let (v3, image) = svc.replace("t", "a", doc! { "n" => 9 }).unwrap();

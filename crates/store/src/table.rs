@@ -410,9 +410,10 @@ impl Table {
     /// for equality conjuncts, ordered-index range scans for range
     /// conjuncts, sort/limit pushdown where the sort key is
     /// ordered-indexed, bounded top-k otherwise, and the reference shard
-    /// scan as the fallback. The chosen plan never changes results — see
-    /// [`scan_query`](Self::scan_query) for the reference semantics and
-    /// [`explain`](Self::explain) for plan inspection.
+    /// scan as the fallback. The chosen plan never changes results: it
+    /// returns what the reference scan `scan_query` (built with the
+    /// `oracle` feature) returns. See [`explain`](Self::explain) for plan
+    /// inspection.
     pub fn query(&self, query: &Query) -> Vec<Arc<Document>> {
         self.execute(query)
             .into_iter()
@@ -449,9 +450,10 @@ impl Table {
     }
 
     /// The reference read path: scan every shard, sort the full match
-    /// set, then truncate. Kept verbatim for differential tests and the
-    /// planner-vs-scan benchmarks; real reads go through
+    /// set, then truncate. A test oracle, kept verbatim for differential
+    /// tests and the planner-vs-scan benchmarks; real reads go through
     /// [`query`](Self::query).
+    #[cfg(any(test, feature = "oracle"))]
     pub fn scan_query(&self, query: &Query) -> Vec<Arc<Document>> {
         debug_assert_eq!(query.table.as_str(), &*self.name);
         let mut hits: Vec<Arc<Document>> = Vec::new();

@@ -33,7 +33,7 @@ fn server_pipeline_detects_all_figure5_transitions() {
         .unwrap();
     let q = Query::table("posts").filter(Filter::contains("tags", "example"));
     let resp = server.query(&q).unwrap();
-    assert!(resp.cacheable);
+    assert!(resp.ttl_ms > 0, "admitted, so cacheable");
     assert_eq!(resp.ids.len(), 0);
 
     let inval = |server: &QuaestorServer| server.metrics().query_invalidations.get();
@@ -76,7 +76,7 @@ fn service_protocol_drives_the_full_pipeline() {
         .unwrap();
     let q = Query::table("posts").filter(Filter::contains("tags", "example"));
     let resp = svc.query(&q).unwrap();
-    assert!(resp.cacheable);
+    assert!(resp.ttl_ms > 0, "admitted, so cacheable");
 
     clock.advance(10);
     svc.update("posts", "p", &Update::new().push("tags", "example"))
@@ -164,18 +164,18 @@ fn capacity_eviction_keeps_hot_queries_cached() {
     // Query g=0 often (hot), then probe many cold queries.
     let hot = Query::table("t").filter(Filter::eq("g", 0));
     for _ in 0..10 {
-        assert!(server.query(&hot).unwrap().cacheable);
+        assert!(server.query(&hot).unwrap().ttl_ms > 0);
     }
     let mut rejected = 0;
     for g in 1..10 {
         let q = Query::table("t").filter(Filter::eq("g", g as i64));
         // Cold queries churn through the remaining two slots; each starts
         // with one read so they evict each other, never the hot query.
-        if !server.query(&q).unwrap().cacheable {
+        if server.query(&q).unwrap().ttl_ms == 0 {
             rejected += 1;
         }
     }
-    assert!(server.query(&hot).unwrap().cacheable, "hot query survives");
+    assert!(server.query(&hot).unwrap().ttl_ms > 0, "hot query survives");
     let _ = rejected; // cold queries may or may not be rejected; hot must stay
 }
 
