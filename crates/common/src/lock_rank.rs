@@ -76,10 +76,11 @@ pub const NET_SHARD_CONNS: LockRank = ("net.server.shard.conns", 69);
 /// `RemoteService::slots[i]` — connection-pool slots (a class: one per
 /// slot, only ever one held at a time).
 pub const NET_CLIENT_SLOT: LockRank = ("net.client.slot", 70);
-/// Client-side per-connection write half (acquired under a pool slot).
+/// Client-side per-connection write half, with the registrations of
+/// callers waiting for the reader-token holder to route their replies
+/// (acquired under a pool slot). The reader token itself is an atomic
+/// word, not a lock.
 pub const NET_CLIENT_WRITER: LockRank = ("net.client.conn.writer", 74);
-/// Client-side pending-response map (acquired under the write half).
-pub const NET_CLIENT_PENDING: LockRank = ("net.client.conn.pending", 78);
 /// `ReplNode::role_state` — replication role, epoch, and fence LSN. Held
 /// across promotion, which attaches the durability sink (`store.sink`,
 /// rank 40) and persists the epoch file, so it ranks below every store

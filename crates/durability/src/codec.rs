@@ -132,6 +132,12 @@ impl Writer {
         Writer::default()
     }
 
+    /// Continue appending to `buf`, keeping what it holds and reusing
+    /// its capacity.
+    pub fn from_vec(buf: Vec<u8>) -> Writer {
+        Writer { buf }
+    }
+
     /// Consume, yielding the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

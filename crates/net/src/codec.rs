@@ -777,14 +777,32 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 
 /// Encode a request with an optional trace context riding in front as a
 /// body-prefix tag. With `None` the output is byte-identical to
-/// [`encode_request`].
-pub fn encode_request_traced(req: &Request, ctx: Option<TraceContext>) -> Vec<u8> {
-    let mut w = Writer::new();
+/// [`put_request`].
+fn put_request_traced(w: &mut Writer, req: &Request, ctx: Option<TraceContext>) {
     if let Some(ctx) = &ctx {
-        put_trace_tag(&mut w, ctx);
+        put_trace_tag(w, ctx);
     }
-    put_request(&mut w, req);
-    w.into_bytes()
+    put_request(w, req);
+}
+
+/// Replace the contents of `out` with one complete request frame whose
+/// body is the request with an optional trace context riding in front
+/// as a body-prefix tag (without one, the body is byte-identical to
+/// [`encode_request`]). The body is encoded in place behind the frame
+/// header, so a caller that keeps `out` allocates nothing per request.
+/// A body too large for one frame is refused with its size.
+pub fn encode_request_frame(
+    request_id: u64,
+    req: &Request,
+    ctx: Option<TraceContext>,
+    out: &mut Vec<u8>,
+) -> std::result::Result<(), usize> {
+    out.clear();
+    let start = crate::wire::begin_frame(crate::wire::FrameKind::Request, request_id, out);
+    let mut w = Writer::from_vec(std::mem::take(out));
+    put_request_traced(&mut w, req, ctx);
+    *out = w.into_bytes();
+    crate::wire::finish_frame(out, start)
 }
 
 /// Decode a frame body as a request, consuming it exactly. Body-prefix
@@ -855,6 +873,13 @@ mod tests {
     use proptest::prelude::*;
     use quaestor_document::{doc, Document, Value};
     use quaestor_query::{Filter, Op, Order, Query, SortKey};
+
+    /// The request body `encode_request_frame` frames, staged on its own.
+    fn encode_request_traced(req: &Request, ctx: Option<TraceContext>) -> Vec<u8> {
+        let mut w = Writer::new();
+        put_request_traced(&mut w, req, ctx);
+        w.into_bytes()
+    }
 
     // ---- strategies -------------------------------------------------------
 
@@ -1250,6 +1275,27 @@ mod tests {
         #[test]
         fn untraced_encoding_is_byte_identical(req in arb_request()) {
             prop_assert_eq!(encode_request_traced(&req, None), encode_request(&req));
+        }
+
+        /// The in-place frame encoder emits exactly the frame of the
+        /// staged body, whatever the reused buffer held before.
+        #[test]
+        fn in_place_request_frame_equals_the_staged_one(
+            req in arb_request(),
+            ctx in proptest::option::of(arb_trace_ctx()),
+            id in any::<u64>(),
+            stale in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let mut staged = Vec::new();
+            crate::wire::encode_frame(
+                crate::wire::FrameKind::Request,
+                id,
+                &encode_request_traced(&req, ctx),
+                &mut staged,
+            );
+            let mut reused = stale;
+            prop_assert!(encode_request_frame(id, &req, ctx, &mut reused).is_ok());
+            prop_assert_eq!(reused, staged);
         }
 
         /// Unknown body tags (and a trace tag with the wrong payload

@@ -20,9 +20,10 @@
 //! * [`NetServer`] — an accept thread feeding per-core event-loop
 //!   shards over any `Arc<dyn Service>`, with graceful shutdown;
 //! * [`RemoteService`] — a pooled, pipelined client that *is* a
-//!   `Service`: request-id correlation, reconnect with backoff, timeouts
-//!   surfaced as [`Error::Net`](quaestor_common::Error::Net), and
-//!   change streams materialized from server pushes.
+//!   `Service`: callers read their own replies and route each other's
+//!   by request id (no thread per connection), reconnect with backoff,
+//!   timeouts surfaced as [`Error::Net`](quaestor_common::Error::Net),
+//!   and change streams materialized from server pushes.
 //!
 //! ```no_run
 //! use std::sync::Arc;

@@ -112,28 +112,54 @@ impl FrameKind {
 /// True if a body of this size fits in one frame. Callers must check
 /// before [`encode_frame`] — an oversized frame would be rejected as
 /// `Corrupt` by the peer, tearing down the connection for everyone
-/// pipelined on it.
+/// pipelined on it. ([`finish_frame`] checks for itself.)
 pub fn frame_fits(body_len: usize) -> bool {
     body_len <= MAX_FRAME_PAYLOAD as usize - PAYLOAD_PROLOGUE
 }
 
 /// Append one complete frame (`kind`, `request_id`, `body`) to `out`.
 pub fn encode_frame(kind: FrameKind, request_id: u64, body: &[u8], out: &mut Vec<u8>) {
-    let payload_len = PAYLOAD_PROLOGUE + body.len();
-    debug_assert!(payload_len <= MAX_FRAME_PAYLOAD as usize);
-    out.reserve(FRAME_HEADER + payload_len);
-    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    // CRC over the payload, computed incrementally below would need a
-    // streaming CRC; the prologue is tiny, so stage it and checksum once.
-    let crc_pos = out.len();
-    out.extend_from_slice(&[0; 4]); // crc placeholder
-    let payload_pos = out.len();
+    debug_assert!(frame_fits(body.len()));
+    out.reserve(FRAME_HEADER + PAYLOAD_PROLOGUE + body.len());
+    let start = begin_frame(kind, request_id, out);
+    out.extend_from_slice(body);
+    seal_frame(out, start);
+}
+
+/// Append the header and prologue of a frame to `out`, with the length
+/// and CRC left as placeholders. The caller appends the body in place
+/// and seals the frame with [`finish_frame`], passing the returned start
+/// offset — so a body never needs a buffer of its own.
+pub fn begin_frame(kind: FrameKind, request_id: u64, out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]); // length + crc placeholders
     out.push(PROTOCOL_VERSION);
     out.push(kind.tag());
     out.extend_from_slice(&request_id.to_le_bytes());
-    out.extend_from_slice(body);
+    start
+}
+
+/// Fill in the length and CRC of the frame begun at `start` by
+/// [`begin_frame`]. A body too large for one frame ([`frame_fits`]) is
+/// refused with its size, and the partial frame is cut off `out`.
+pub fn finish_frame(out: &mut Vec<u8>, start: usize) -> Result<(), usize> {
+    let body_len = out.len() - start - FRAME_HEADER - PAYLOAD_PROLOGUE;
+    if !frame_fits(body_len) {
+        out.truncate(start);
+        return Err(body_len);
+    }
+    seal_frame(out, start);
+    Ok(())
+}
+
+/// Fill in the length and CRC of the frame begun at `start`, whatever
+/// its size.
+fn seal_frame(out: &mut [u8], start: usize) {
+    let payload_pos = start + FRAME_HEADER;
+    let payload_len = out.len() - payload_pos;
     let crc = crc32(&out[payload_pos..]);
-    out[crc_pos..crc_pos + 4].copy_from_slice(&crc.to_le_bytes());
+    out[start..start + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    out[start + 4..payload_pos].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// One decoded frame, borrowing its body from the read buffer.

@@ -21,7 +21,9 @@
 //!   log refuses is not applied either.
 //!
 //! Replica lag is cache age: a replica's state is exactly the primary's
-//! state as of `durable_lsn`, so the paper's Expiring Bloom Filter bound
+//! state as of `durable_lsn` (a replica reports the lower of its durable
+//! and its applied LSN, so a frame fsynced but not yet applied does not
+//! count), so the paper's Expiring Bloom Filter bound
 //! governs replica-read staleness verbatim — stale reads are *bounded*,
 //! not prevented, which is the same contract every web cache in the
 //! system already has.
@@ -267,6 +269,12 @@ pub struct ReplNode {
     /// [`refollow`](Self::refollow) after a failover.
     follow_target: Mutex<SocketAddr>,
     sessions: Mutex<Vec<Session>>,
+    /// Highest LSN applied to served state: the recovered log at open,
+    /// then every frame the follower applies.
+    applied_lsn: AtomicU64,
+    /// Runs between appending a replicated frame and applying it.
+    #[cfg(test)]
+    before_apply: OnceLock<Box<dyn Fn(u64) + Send + Sync>>,
 }
 
 impl std::fmt::Debug for ReplNode {
@@ -402,6 +410,7 @@ impl ReplNode {
         let repl_addr = listener
             .local_addr()
             .map_err(|e| net_err("local_addr", e))?;
+        let applied_lsn = AtomicU64::new(engine.last_lsn());
         let node = Arc::new(ReplNode {
             dir,
             cfg,
@@ -442,6 +451,9 @@ impl ReplNode {
                 lock_rank::REPL_SESSIONS.0,
                 lock_rank::REPL_SESSIONS.1,
             ),
+            applied_lsn,
+            #[cfg(test)]
+            before_apply: OnceLock::new(),
         });
         let net = NetServer::bind(
             "127.0.0.1:0",
@@ -508,11 +520,16 @@ impl ReplNode {
             let rs = self.role_state.lock();
             (rs.role, rs.lineage.current_epoch())
         };
+        let mut durable_lsn = self.engine.durable_lsn();
+        if role == ReplRole::Replica {
+            // The follower makes a frame durable before it applies it.
+            durable_lsn = durable_lsn.min(self.applied_lsn.load(Ordering::Acquire));
+        }
         ReplicationStatus {
             role,
             epoch,
             last_lsn: self.engine.last_lsn(),
-            durable_lsn: self.engine.durable_lsn(),
+            durable_lsn,
         }
     }
 
@@ -963,7 +980,12 @@ fn run_follow(node: &Arc<ReplNode>, sock: TcpStream) -> Result<FollowExit> {
                     // LSN (a gap) errors here, dropping the session;
                     // the reconnect handshake re-synchronizes.
                     if node.engine.append_replicated(lsn, &record)? {
+                        #[cfg(test)]
+                        if let Some(hook) = node.before_apply.get() {
+                            hook(lsn);
+                        }
                         node.server.apply_replicated(&record)?;
+                        node.applied_lsn.fetch_max(lsn, Ordering::AcqRel);
                     }
                 }
                 let durable = node.engine.flush()?;
@@ -1050,6 +1072,52 @@ mod tests {
             Err(Error::BadRequest(msg)) => assert!(msg.contains("not primary"), "{msg}"),
             other => panic!("replica accepted a write: {other:?}"),
         }
+        replica.kill();
+        primary.kill();
+    }
+
+    #[test]
+    fn a_replica_never_reports_durable_a_frame_it_does_not_serve_yet() {
+        let pdir = scratch_dir("repl-applied-p");
+        let rdir = scratch_dir("repl-applied-r");
+        let primary = ReplNode::open_primary(&pdir, cfg()).unwrap();
+        primary.insert("posts", "a", doc! { "n" => 1 }).unwrap();
+        let replica = ReplNode::open_replica(&rdir, primary.repl_addr(), cfg()).unwrap();
+        wait_until("replica catch-up", || caught_up(&primary, &replica));
+        // Hold the follower after it appended (and, under
+        // `FsyncPolicy::Always`, fsynced) the next frame, before it
+        // applies that frame.
+        let held = Arc::new((AtomicU64::new(0), AtomicBool::new(false)));
+        let hook = held.clone();
+        let installed = replica.before_apply.set(Box::new(move |lsn| {
+            hook.0.store(lsn, Ordering::SeqCst);
+            // Bounded, so a failing assertion below cannot wedge teardown.
+            let until = Instant::now() + Duration::from_secs(10);
+            while !hook.1.load(Ordering::SeqCst) && Instant::now() < until {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }));
+        assert!(installed.is_ok());
+        primary.insert("posts", "b", doc! { "n" => 2 }).unwrap();
+        let lsn = primary.status().last_lsn;
+        wait_until("the follower to hold the frame", || {
+            held.0.load(Ordering::SeqCst) == lsn
+        });
+        assert!(replica.engine.durable_lsn() >= lsn, "the frame is durable");
+        assert!(
+            replica.get_record("posts", "b").is_err(),
+            "and not yet served"
+        );
+        assert!(
+            replica.status().durable_lsn < lsn,
+            "a replica reported LSN {lsn} durable before serving it"
+        );
+        held.1.store(true, Ordering::SeqCst);
+        wait_until("replica catch-up", || caught_up(&primary, &replica));
+        assert_eq!(
+            replica.get_record("posts", "b").unwrap().doc["n"],
+            quaestor_document::Value::Int(2)
+        );
         replica.kill();
         primary.kill();
     }

@@ -403,16 +403,30 @@ fn client_request_stitches_one_trace_across_every_layer() {
         "client.request", // the client's root
         "service.insert", // MetricsLayer
         "service.query",
-        "router.route", // ShardRouter
-        "client.call",  // RemoteService (wire egress)
-        "net.server",   // NetServer (wire ingress, adopted context)
-        "store.plan",   // planner
-        "store.query",  // executor
-        "wal.append",   // durability
+        "router.route",    // ShardRouter
+        "client.call",     // RemoteService (wire egress)
+        "net.client.send", // RemoteService: encode and write
+        "net.client.recv", // RemoteService: wait for the reply and decode it
+        "net.server",      // NetServer (wire ingress, adopted context)
+        "store.plan",      // planner
+        "store.query",     // executor
+        "wal.append",      // durability
     ] {
         assert!(names.contains(layer), "missing {layer} in {names:?}");
     }
     assert!(names.len() >= 5, "at least 5 layers of attribution");
+    // The client's transport spans split each `client.call`.
+    let calls: std::collections::BTreeSet<u64> = spans
+        .iter()
+        .filter(|s| s.name == "client.call")
+        .map(|s| s.span_id)
+        .collect();
+    for s in spans
+        .iter()
+        .filter(|s| s.name == "net.client.send" || s.name == "net.client.recv")
+    {
+        assert!(calls.contains(&s.parent), "{} outside client.call", s.name);
+    }
     // Every span carries duration attribution and the dump renders the
     // stitched tree.
     let dump = quaestor::obs::render_trace(trace_id);
