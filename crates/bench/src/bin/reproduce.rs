@@ -471,7 +471,21 @@ fn run_replication(scale: Scale, out: &std::path::Path) {
     }
     t.print();
     println!("(lag in WAL frames = acked-but-not-replica-durable writes a crash at that instant would hand to failover)");
-    let json = replication_json(&rows);
+    println!("\n== Replication: commit latency of sequential writes (default ReplConfig) ==");
+    let commit = replication_commit_latency(scale);
+    let mut t = TableWriter::new(&["mode", "fsync", "writes", "acked", "p50 (us)", "p99 (us)"]);
+    for r in &commit {
+        t.row(vec![
+            r.mode.into(),
+            format!("{:?}", r.fsync),
+            r.writes.to_string(),
+            r.acked.to_string(),
+            r.p50_us.to_string(),
+            r.p99_us.to_string(),
+        ]);
+    }
+    t.print();
+    let json = replication_json(&rows, &commit);
     write_bench_json(out, "replication", &json);
 }
 

@@ -1194,7 +1194,6 @@ pub fn replication_lag(scale: Scale) -> Vec<ReplicationRow> {
     };
     let rates: &[usize] = &[200, 1_000, 0];
     let cfg = ReplConfig {
-        io_timeout: Duration::from_millis(2),
         reconnect_backoff: Duration::from_millis(20),
         ..ReplConfig::default()
     };
@@ -1276,9 +1275,97 @@ pub fn replication_lag(scale: Scale) -> Vec<ReplicationRow> {
     rows
 }
 
+/// Client-visible latency of sequential writes through a primary
+/// `ReplNode` at the default `ReplConfig`.
+#[derive(Debug, Clone)]
+pub struct CommitLatencyRow {
+    /// `"semi-sync"` (`ack_replicas = 1`, one replica) or `"local"`.
+    pub mode: &'static str,
+    /// Both nodes' fsync policy.
+    pub fsync: quaestor_durability::FsyncPolicy,
+    /// Writes attempted.
+    pub writes: usize,
+    /// Writes acknowledged: a row stops at the first write the semi-sync
+    /// gate times out (`ack_timeout`).
+    pub acked: usize,
+    /// Median latency of the acknowledged writes (µs).
+    pub p50_us: u64,
+    /// 99th-percentile latency of the acknowledged writes (µs).
+    pub p99_us: u64,
+}
+
+/// Commit latency: semi-sync writes under `FsyncPolicy::Always` and
+/// `OsDefault`, beside local-only `Always` writes on the same machine.
+pub fn replication_commit_latency(scale: Scale) -> Vec<CommitLatencyRow> {
+    use quaestor_core::ServiceExt;
+    use quaestor_document::doc;
+    use quaestor_durability::{DurabilityConfig, FsyncPolicy};
+    use quaestor_repl::{ReplConfig, ReplNode};
+    use std::time::Instant;
+
+    let writes = match scale {
+        Scale::Quick => 200,
+        Scale::Full => 2_000,
+    };
+    let cases = [
+        ("semi-sync", FsyncPolicy::Always),
+        ("semi-sync", FsyncPolicy::OsDefault),
+        ("local", FsyncPolicy::Always),
+    ];
+    let mut rows = Vec::new();
+    for (mode, fsync) in cases {
+        let dir = bench_temp_dir("commit-latency");
+        let node = ReplConfig {
+            durability: DurabilityConfig {
+                fsync,
+                ..DurabilityConfig::default()
+            },
+            ..ReplConfig::default()
+        };
+        let semi_sync = mode == "semi-sync";
+        let primary = ReplNode::open_primary(
+            dir.join("primary"),
+            ReplConfig {
+                ack_replicas: usize::from(semi_sync),
+                ..node
+            },
+        )
+        .expect("open primary");
+        let replica = semi_sync.then(|| {
+            ReplNode::open_replica(dir.join("replica"), primary.repl_addr(), node)
+                .expect("open replica")
+        });
+        // Warm-up: the table exists and the session is live before the
+        // clock starts.
+        let mut latency_us = Histogram::new();
+        if primary.insert("t", "warm", doc! {}).is_ok() {
+            for i in 0..writes {
+                let started = Instant::now();
+                let doc = doc! { "n" => i as i64 };
+                if primary.insert("t", &format!("r{i}"), doc).is_err() {
+                    break;
+                }
+                latency_us.record(started.elapsed().as_micros() as u64);
+            }
+        }
+        rows.push(CommitLatencyRow {
+            mode,
+            fsync,
+            writes,
+            acked: latency_us.count() as usize,
+            p50_us: latency_us.percentile(0.50).unwrap_or(0),
+            p99_us: latency_us.percentile(0.99).unwrap_or(0),
+        });
+        replica.inspect(|r| r.kill());
+        primary.kill();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    rows
+}
+
 /// Render replication rows as the machine-readable
 /// `BENCH_replication.json` payload (hand-rolled like `matchidx_json`).
-pub fn replication_json(rows: &[ReplicationRow]) -> String {
+pub fn replication_json(rows: &[ReplicationRow], commit: &[CommitLatencyRow]) -> String {
     let mut out = String::from("{\n  \"experiment\": \"replication\",\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -1293,6 +1380,20 @@ pub fn replication_json(rows: &[ReplicationRow]) -> String {
             r.convergence_ms,
             r.converged,
             if i + 1 == rows.len() { "" } else { "," }
+        ));
+    }
+    out.push_str("  ],\n  \"commit_latency\": [\n");
+    for (i, r) in commit.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"mode\": \"{}\", \"fsync\": \"{:?}\", \"writes\": {}, \"acked\": {}, \
+             \"p50_us\": {}, \"p99_us\": {}}}{}\n",
+            r.mode,
+            r.fsync,
+            r.writes,
+            r.acked,
+            r.p50_us,
+            r.p99_us,
+            if i + 1 == commit.len() { "" } else { "," }
         ));
     }
     out.push_str("  ]\n}\n");
@@ -1335,11 +1436,23 @@ mod tests {
             convergence_ms: 8.05,
             converged: true,
         }];
-        let json = replication_json(&rows);
+        let commit = vec![CommitLatencyRow {
+            mode: "semi-sync",
+            fsync: quaestor_durability::FsyncPolicy::OsDefault,
+            writes: 200,
+            acked: 200,
+            p50_us: 412,
+            p99_us: 1_250,
+        }];
+        let json = replication_json(&rows, &commit);
         assert!(json.contains("\"experiment\": \"replication\""));
         assert!(json.contains("\"achieved_rate\": 12346"));
         assert!(json.contains("\"mean_lag_frames\": 3.25"));
         assert!(json.contains("\"converged\": true"));
+        assert!(json.contains(
+            "{\"mode\": \"semi-sync\", \"fsync\": \"OsDefault\", \"writes\": 200, \
+             \"acked\": 200, \"p50_us\": 412, \"p99_us\": 1250}"
+        ));
     }
 
     #[test]

@@ -66,6 +66,14 @@ pub fn net_sweep(scale: Scale) -> Vec<NetBenchRow> {
             1_500,
         ),
     };
+    // One discarded round first, so that the first row does not pay for
+    // a cold process (its depth-1 p50 spread over 2x without it).
+    net_loopback(NetLoopConfig {
+        connections: 1,
+        pipeline_depth: 1,
+        ops_per_caller,
+        write_every: 10,
+    });
     let mut rows = Vec::new();
     for &(connections, pipeline_depth) in configs {
         let (local, remote) = net_loopback(NetLoopConfig {

@@ -86,10 +86,10 @@ pub const NET_CLIENT_WRITER: LockRank = ("net.client.conn.writer", 74);
 /// rank 40) and persists the epoch file, so it ranks below every store
 /// and durability lock.
 pub const REPL_NODE_ROLE: LockRank = ("repl.node.role", 3);
-/// `ReplNode` thread-handle and follower-socket slots (`accept_slot`,
-/// `follower_slot`, `follower_conn`, `follow_target`) — a class: only
-/// ever held briefly to install, signal, retarget, or join, never while
-/// calling into lower layers.
+/// `ReplNode` thread handles and follower link (`node_threads`,
+/// `follow_link`) — a class: only ever held briefly to install, signal,
+/// retarget, or take, never while calling into lower layers (backoffs
+/// wait on the cut condvar under `follow_link`).
 pub const REPL_THREADS: LockRank = ("repl.node.threads", 88);
 /// `ReplNode::sessions` — per-replica shipping-session registry (leaf;
 /// pushed on accept, swept on shutdown, scanned by the ack-wait loop).

@@ -218,18 +218,6 @@ impl QuaestorServer {
         }
     }
 
-    /// Demote a primary back to replica mode (the fenced-rejoin path):
-    /// detach the sink and suppress self-logging again. The caller is
-    /// responsible for truncating the unreplicated WAL suffix *before*
-    /// re-opening the server; this hook exists for in-place role flips in
-    /// tests and the simulator.
-    pub fn demote(&self) {
-        if self.replica.swap(true, std::sync::atomic::Ordering::AcqRel) {
-            return;
-        }
-        self.db.detach_sink();
-    }
-
     /// Apply one replicated WAL record to the served state, driving the
     /// same invalidation pipeline a local write would (EBF, InvaliDB,
     /// purges, change streams) — replica lag is cache age, so the EBF
@@ -987,6 +975,21 @@ mod tests {
         quaestor_common::scratch_dir(&format!("server-{tag}"))
     }
 
+    /// The frames above `after` in `engine`'s log, read the way a
+    /// replication session reads them (a tail cursor's raw frames).
+    fn frames_after(engine: &DurabilityEngine, after: u64) -> Vec<(u64, WalRecord)> {
+        use quaestor_durability::frame::{read_frame, FrameRead};
+        let mut tail = engine.tail(after).unwrap();
+        let mut raw = Vec::new();
+        engine.read_tail(&mut tail, usize::MAX, &mut raw).unwrap();
+        let mut frames = Vec::new();
+        while let FrameRead::Frame { lsn, record, size } = read_frame(&raw, 0) {
+            frames.push((lsn, record));
+            raw.drain(..size);
+        }
+        frames
+    }
+
     fn open_durable(dir: &std::path::Path) -> Arc<QuaestorServer> {
         QuaestorServer::open_with(
             dir,
@@ -1150,7 +1153,7 @@ mod tests {
         primary.delete("posts", "p2").unwrap();
         let src = primary.durability().unwrap();
         let dst = replica.durability().unwrap();
-        let frames = src.read_frames_after(0, 1024).unwrap();
+        let frames = frames_after(src, 0);
         for (lsn, record) in &frames {
             assert!(dst.append_replicated(*lsn, record).unwrap());
             replica.apply_replicated(record).unwrap();
@@ -1172,7 +1175,7 @@ mod tests {
             .update("posts", "p1", &Update::new().push("tags", "fresh"))
             .unwrap();
         let after = src.last_lsn();
-        for (lsn, record) in src.read_frames_after(dst.last_lsn(), 1024).unwrap() {
+        for (lsn, record) in frames_after(src, dst.last_lsn()) {
             dst.append_replicated(lsn, &record).unwrap();
             replica.apply_replicated(&record).unwrap();
         }
@@ -1189,7 +1192,7 @@ mod tests {
         // replay alone is not enough: replaying an insert whose delete
         // came later would resurrect the record.)
         let before = replica.database().total_records();
-        for (lsn, record) in src.read_frames_after(0, 1024).unwrap() {
+        for (lsn, record) in frames_after(src, 0) {
             let fresh = dst.append_replicated(lsn, &record).unwrap();
             assert!(!fresh, "lsn {lsn} must be a duplicate");
             if fresh {

@@ -18,7 +18,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use quaestor_common::{lock_rank, Error, FxHashMap, Result, Timestamp};
 use quaestor_query::{Query, QueryKey};
 use quaestor_store::{Database, WriteEvent, WriteSink};
@@ -26,7 +26,7 @@ use quaestor_store::{Database, WriteEvent, WriteSink};
 use crate::codec::WalRecord;
 use crate::config::DurabilityConfig;
 use crate::snapshot::{self, SnapshotData, SnapshotRecord, SnapshotTable};
-use crate::wal::{self, Wal};
+use crate::wal::{self, Wal, WalTail};
 
 /// Statistics of one recovery pass (reported, not interpreted).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -210,6 +210,8 @@ struct EngineState {
     tombstones: Vec<(String, String, u64)>,
     /// Frames appended since the last snapshot (for auto-snapshot).
     frames_since_snapshot: u64,
+    /// Set by [`DurabilityEngine::stop_tails`].
+    tails_stopped: bool,
 }
 
 /// The write-ahead-logging, snapshotting [`WriteSink`].
@@ -217,6 +219,8 @@ pub struct DurabilityEngine {
     dir: PathBuf,
     config: DurabilityConfig,
     state: Mutex<EngineState>,
+    /// Notified when frames are written out, and by `stop_tails`.
+    written_out: Condvar,
     /// The held `LOCK` file; removed on drop so the directory can be
     /// reopened (a crashed process leaves it behind — staleness is
     /// detected via the recorded pid).
@@ -369,10 +373,12 @@ impl DurabilityEngine {
                     queries,
                     tombstones,
                     frames_since_snapshot: 0,
+                    tails_stopped: false,
                 },
                 lock_rank::DURABILITY_WAL.0,
                 lock_rank::DURABILITY_WAL.1,
             ),
+            written_out: Condvar::new(),
             snapshot_gate: Mutex::with_rank(
                 (),
                 lock_rank::DURABILITY_SNAPSHOT_GATE.0,
@@ -403,13 +409,55 @@ impl DurabilityEngine {
         self.state.lock().wal.durable()
     }
 
-    /// Read up to `max` frames with LSN above `after_lsn` straight from
-    /// the segment files (lock-free; see [`wal::read_frames_after`]).
-    /// The replication tailer's read path: only frames the group-commit
-    /// buffer has written out are visible, so a replica can never be
-    /// ahead of the primary's own disk.
-    pub fn read_frames_after(&self, after_lsn: u64, max: usize) -> Result<Vec<(u64, WalRecord)>> {
-        wal::read_frames_after(&self.dir.join("wal"), after_lsn, max)
+    /// Run `f` on the locked WAL state; wake the tail readers if it wrote
+    /// frames out (after unlocking, so that they do not wake into it).
+    fn with_wal<R>(&self, f: impl FnOnce(&mut EngineState) -> R) -> R {
+        let mut state = self.state.lock();
+        let written = state.wal.written();
+        let out = f(&mut state);
+        let wrote = state.wal.written() != written;
+        drop(state);
+        if wrote {
+            self.written_out.notify_all();
+        }
+        out
+    }
+
+    /// A cursor over this log whose first frame is `after + 1`.
+    pub fn tail(&self, after: u64) -> Result<WalTail> {
+        WalTail::open(&self.dir.join("wal"), after)
+    }
+
+    /// Block until a frame above `tail`'s cursor is written out, then
+    /// append up to `max` raw frames to `out` (see [`WalTail::read`]).
+    /// Only written-out frames are visible, so a replica is never ahead
+    /// of the primary's segment files. `Error::Closed` after
+    /// [`stop_tails`](Self::stop_tails).
+    pub fn read_tail(&self, tail: &mut WalTail, max: usize, out: &mut Vec<u8>) -> Result<u64> {
+        let mut state = self.state.lock();
+        while !state.tails_stopped && state.wal.written() <= tail.last_lsn() {
+            self.written_out.wait(&mut state);
+        }
+        if state.tails_stopped {
+            return Err(Error::Closed("wal tail: stopped".into()));
+        }
+        let written = state.wal.written();
+        drop(state);
+        tail.read(written, max, out)
+    }
+
+    /// Wake every [`read_tail`](Self::read_tail) caller, now and later,
+    /// with `Error::Closed` (the node shipping this log is stopping).
+    pub fn stop_tails(&self) {
+        self.state.lock().tails_stopped = true;
+        self.written_out.notify_all();
+    }
+
+    /// Write the group-commit buffer out without an fsync the policy did
+    /// not ask for, so that a tail sees every frame; returns the highest
+    /// written-out LSN.
+    pub fn write_out(&self) -> Result<u64> {
+        self.with_wal(|state| state.wal.write_out())
     }
 
     /// Append a frame shipped from a replication primary, preserving its
@@ -419,46 +467,47 @@ impl DurabilityEngine {
     /// reconnection re-sends are no-ops) and an error for a gap
     /// (`lsn > last + 1`): frames must arrive in order.
     pub fn append_replicated(&self, lsn: u64, record: &WalRecord) -> Result<bool> {
-        let mut state = self.state.lock();
-        let last = state.wal.last_lsn();
-        if lsn <= last {
-            return Ok(false);
-        }
-        if lsn > last + 1 {
-            return Err(Error::Io(format!(
-                "replication gap: got frame lsn {lsn}, log ends at {last}"
-            )));
-        }
-        let assigned = state.wal.append(record)?;
-        if assigned != lsn {
-            return Err(Error::Io(format!(
-                "replication lsn mismatch: wal assigned {assigned}, frame says {lsn}"
-            )));
-        }
-        state.frames_since_snapshot += 1;
-        // Mirror the same bookkeeping the primary's sink methods keep, so
-        // a promoted replica snapshots the full query/tombstone state.
-        match record {
-            WalRecord::Write {
-                table,
-                id,
-                kind: quaestor_store::WriteKind::Delete,
-                at,
-                ..
-            } => {
-                state.tombstones.push((table.clone(), id.clone(), *at));
+        self.with_wal(|state| {
+            let last = state.wal.last_lsn();
+            if lsn <= last {
+                return Ok(false);
             }
-            WalRecord::RegisterQuery { query } => {
-                state
-                    .queries
-                    .insert(QueryKey::of(query).as_str().to_owned(), query.clone());
+            if lsn > last + 1 {
+                return Err(Error::Io(format!(
+                    "replication gap: got frame lsn {lsn}, log ends at {last}"
+                )));
             }
-            WalRecord::DeregisterQuery { key } => {
-                state.queries.remove(key);
+            let assigned = state.wal.append(record)?;
+            if assigned != lsn {
+                return Err(Error::Io(format!(
+                    "replication lsn mismatch: wal assigned {assigned}, frame says {lsn}"
+                )));
             }
-            _ => {}
-        }
-        Ok(true)
+            state.frames_since_snapshot += 1;
+            // Mirror the same bookkeeping the primary's sink methods keep, so
+            // a promoted replica snapshots the full query/tombstone state.
+            match record {
+                WalRecord::Write {
+                    table,
+                    id,
+                    kind: quaestor_store::WriteKind::Delete,
+                    at,
+                    ..
+                } => {
+                    state.tombstones.push((table.clone(), id.clone(), *at));
+                }
+                WalRecord::RegisterQuery { query } => {
+                    state
+                        .queries
+                        .insert(QueryKey::of(query).as_str().to_owned(), query.clone());
+                }
+                WalRecord::DeregisterQuery { key } => {
+                    state.queries.remove(key);
+                }
+                _ => {}
+            }
+            Ok(true)
+        })
     }
 
     /// Currently registered (durable) queries, in no particular order.
@@ -467,10 +516,11 @@ impl DurabilityEngine {
     }
 
     fn append_record(&self, record: &WalRecord) -> Result<u64> {
-        let mut state = self.state.lock();
-        let lsn = state.wal.append(record)?;
-        state.frames_since_snapshot += 1;
-        Ok(lsn)
+        self.with_wal(|state| {
+            let lsn = state.wal.append(record)?;
+            state.frames_since_snapshot += 1;
+            Ok(lsn)
+        })
     }
 
     /// Log a query registration (mirrored into the live set so the next
@@ -480,35 +530,37 @@ impl DurabilityEngine {
     /// log with no information. `key` is the query's [`QueryKey::of`].
     pub fn log_register_query(&self, query: &Query, key: &QueryKey) -> Result<u64> {
         debug_assert_eq!(key, &QueryKey::of(query));
-        let mut state = self.state.lock();
-        if state.queries.contains_key(key.as_str()) {
-            return Ok(state.wal.last_lsn());
-        }
-        let lsn = state.wal.append(&WalRecord::RegisterQuery {
-            query: query.clone(),
-        })?;
-        state.frames_since_snapshot += 1;
-        state.queries.insert(key.as_str().to_owned(), query.clone());
-        Ok(lsn)
+        self.with_wal(|state| {
+            if state.queries.contains_key(key.as_str()) {
+                return Ok(state.wal.last_lsn());
+            }
+            let lsn = state.wal.append(&WalRecord::RegisterQuery {
+                query: query.clone(),
+            })?;
+            state.frames_since_snapshot += 1;
+            state.queries.insert(key.as_str().to_owned(), query.clone());
+            Ok(lsn)
+        })
     }
 
     /// Log a query eviction. Idempotent like
     /// [`log_register_query`](Self::log_register_query).
     pub fn log_deregister_query(&self, key: &QueryKey) -> Result<u64> {
-        let mut state = self.state.lock();
-        if state.queries.remove(key.as_str()).is_none() {
-            return Ok(state.wal.last_lsn());
-        }
-        let lsn = state.wal.append(&WalRecord::DeregisterQuery {
-            key: key.as_str().to_owned(),
-        })?;
-        state.frames_since_snapshot += 1;
-        Ok(lsn)
+        self.with_wal(|state| {
+            if state.queries.remove(key.as_str()).is_none() {
+                return Ok(state.wal.last_lsn());
+            }
+            let lsn = state.wal.append(&WalRecord::DeregisterQuery {
+                key: key.as_str().to_owned(),
+            })?;
+            state.frames_since_snapshot += 1;
+            Ok(lsn)
+        })
     }
 
     /// Force the group-commit buffer to disk; returns the durable LSN.
     pub fn flush(&self) -> Result<u64> {
-        self.state.lock().wal.flush()
+        self.with_wal(|state| state.wal.flush())
     }
 
     /// Whether the auto-snapshot threshold has been crossed — false
@@ -537,8 +589,7 @@ impl DurabilityEngine {
         // point is either in the tables we are about to sweep or in
         // frames ≤ lsn; writes racing the sweep have frames > lsn and
         // replay fine on top.
-        let (lsn, queries, tombstones) = {
-            let mut state = self.state.lock();
+        let (lsn, queries, tombstones) = self.with_wal(|state| -> Result<_> {
             let lsn = state.wal.flush()?;
             // Prune the tombstone mirror to the retention window
             // (measured in database time against the newest tombstone).
@@ -547,12 +598,12 @@ impl DurabilityEngine {
                 let cutoff = newest.saturating_sub(self.config.tombstone_retention_ms);
                 state.tombstones.retain(|(_, _, at)| *at >= cutoff);
             }
-            (
+            Ok((
                 lsn,
                 state.queries.values().cloned().collect::<Vec<_>>(),
                 state.tombstones.clone(),
-            )
-        };
+            ))
+        })?;
         let mut tables = Vec::new();
         for name in db.table_names() {
             let t = db.table(&name)?;
@@ -641,7 +692,7 @@ impl WriteSink for DurabilityEngine {
     /// Durability phase, called after the shard lock is released: one
     /// committer's fsync covers every LSN staged before it.
     fn commit(&self, ticket: u64) -> Result<()> {
-        self.state.lock().wal.commit(ticket)
+        self.with_wal(|state| state.wal.commit(ticket))
     }
 
     fn table_created(&self, name: &str) -> Result<()> {
@@ -948,7 +999,7 @@ mod tests {
         let (src_engine, src_rec) =
             DurabilityEngine::open(&src, DurabilityConfig::default()).unwrap();
         drop(src_rec);
-        let frames = src_engine.read_frames_after(0, usize::MAX).unwrap();
+        let frames = wal::scan(&src.join("wal"), 1).unwrap().frames;
         assert_eq!(frames.len(), 8, "create-table + 6 inserts + 1 delete");
 
         // ...a replica appends them with LSNs preserved.

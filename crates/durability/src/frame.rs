@@ -90,17 +90,47 @@ pub fn read_frame(buf: &[u8], offset: usize) -> FrameRead {
     if rest.is_empty() {
         return FrameRead::Eof;
     }
+    let (payload, size) = match checked_payload(rest) {
+        Ok(p) => p,
+        Err(reason) => return FrameRead::BadTail(reason),
+    };
+    let mut r = Reader::new(payload);
+    let lsn = match r.u64() {
+        Ok(l) => l,
+        Err(e) => return FrameRead::BadTail(format!("bad lsn: {e}")),
+    };
+    match WalRecord::decode(&mut r) {
+        Ok(record) => FrameRead::Frame { lsn, record, size },
+        // A CRC-valid but undecodable payload means a writer/reader
+        // version skew or a hash collision; both are worth surfacing as a
+        // bad tail rather than a panic.
+        Err(e) => FrameRead::BadTail(format!("undecodable payload: {e}")),
+    }
+}
+
+/// The LSN and on-disk size of the frame at the start of `rest` when it
+/// is complete and its CRC holds, without decoding its record (the
+/// replication tail ships frames as they are); `None` otherwise.
+pub fn frame_lsn(rest: &[u8]) -> Option<(u64, usize)> {
+    let (payload, size) = checked_payload(rest).ok()?;
+    let lsn = payload.get(..8)?.try_into().ok().map(u64::from_le_bytes)?;
+    Some((lsn, size))
+}
+
+/// The payload and total size of the frame at the start of `rest`, if
+/// its header, length and CRC check out.
+fn checked_payload(rest: &[u8]) -> Result<(&[u8], usize), String> {
     if rest.len() < 8 {
-        return FrameRead::BadTail(format!("short frame header: {} bytes", rest.len()));
+        return Err(format!("short frame header: {} bytes", rest.len()));
     }
     let len = le_u32(rest, 0);
     if len > MAX_FRAME_PAYLOAD {
-        return FrameRead::BadTail(format!("frame length {len} exceeds cap"));
+        return Err(format!("frame length {len} exceeds cap"));
     }
     let want = crc32_from(rest);
     let len = len as usize;
     if rest.len() < 8 + len {
-        return FrameRead::BadTail(format!(
+        return Err(format!(
             "short frame payload: want {len}, have {}",
             rest.len() - 8
         ));
@@ -108,26 +138,11 @@ pub fn read_frame(buf: &[u8], offset: usize) -> FrameRead {
     let payload = &rest[8..8 + len];
     let got = crc32(payload);
     if got != want {
-        return FrameRead::BadTail(format!(
+        return Err(format!(
             "crc mismatch: stored {want:#010x}, computed {got:#010x}"
         ));
     }
-    let mut r = Reader::new(payload);
-    let lsn = match r.u64() {
-        Ok(l) => l,
-        Err(e) => return FrameRead::BadTail(format!("bad lsn: {e}")),
-    };
-    match WalRecord::decode(&mut r) {
-        Ok(record) => FrameRead::Frame {
-            lsn,
-            record,
-            size: 8 + len,
-        },
-        // A CRC-valid but undecodable payload means a writer/reader
-        // version skew or a hash collision; both are worth surfacing as a
-        // bad tail rather than a panic.
-        Err(e) => FrameRead::BadTail(format!("undecodable payload: {e}")),
-    }
+    Ok((payload, 8 + len))
 }
 
 fn crc32_from(rest: &[u8]) -> u32 {
@@ -203,6 +218,17 @@ mod tests {
                 FrameRead::Eof => panic!("flip at {pos} read as eof"),
             }
         }
+    }
+
+    #[test]
+    fn frame_lsn_reads_the_header_of_complete_frames_only() {
+        let mut buf = Vec::new();
+        encode_frame(42, &rec("posts"), &mut buf);
+        assert_eq!(frame_lsn(&buf), Some((42, buf.len())));
+        assert_eq!(frame_lsn(&buf[..buf.len() - 1]), None, "torn");
+        buf[9] ^= 0x01;
+        assert_eq!(frame_lsn(&buf), None, "crc mismatch");
+        assert_eq!(frame_lsn(&[]), None);
     }
 
     #[test]

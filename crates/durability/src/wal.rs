@@ -11,16 +11,18 @@
 //! segment (a write interrupted by the crash) truncates the log there. A
 //! bad frame anywhere else — in any segment that valid data follows — is
 //! corruption and surfaces as an error, never as silent data loss.
+//!
+//! A live log is read by [`WalTail`], which hands back frames as written.
 
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 use quaestor_common::{Error, Result};
 
 use crate::codec::WalRecord;
 use crate::config::{DurabilityConfig, FsyncPolicy};
-use crate::frame::{encode_frame, read_frame, FrameRead};
+use crate::frame::{encode_frame, frame_lsn, read_frame, FrameRead};
 
 const SEGMENT_PREFIX: &str = "seg-";
 const SEGMENT_SUFFIX: &str = ".wal";
@@ -163,72 +165,124 @@ pub fn scan(dir: &Path, first_lsn: u64) -> Result<LogScan> {
     })
 }
 
-/// Read up to `max` complete frames with LSN strictly above `after_lsn`
-/// from the segment files in `dir`, without any lock. This is the
-/// replication tailer's read path: the writer may be appending
-/// concurrently, so a torn frame at the end of the newest segment just
-/// means "caught up" — the tailer stops there and re-reads from the same
-/// cursor on its next poll.
-///
-/// Errors if the log no longer retains `after_lsn + 1` (compacted away):
-/// the caller cannot resume from that cursor and must re-seed.
-pub fn read_frames_after(dir: &Path, after_lsn: u64, max: usize) -> Result<Vec<(u64, WalRecord)>> {
-    let segments = list_segments(dir)?;
-    let mut out = Vec::new();
-    if segments.is_empty() || max == 0 {
-        return Ok(out);
-    }
-    let want = after_lsn + 1;
-    if segments[0].0 > want {
-        return Err(Error::Io(format!(
-            "wal tail read: frames from lsn {want} were compacted (oldest segment starts at {})",
-            segments[0].0
-        )));
-    }
-    // Skip segments wholly below the cursor: a segment is irrelevant
-    // when its successor starts at or below `want`.
-    let mut start_idx = 0;
-    for (i, window) in segments.windows(2).enumerate() {
-        if window[1].0 <= want {
-            start_idx = i + 1;
-        }
-    }
-    for (seg_start, path) in &segments[start_idx..] {
-        let buf = match std::fs::read(path) {
-            Ok(b) => b,
-            // Compaction may remove a segment between the listing and
-            // this read; the tailer retries from its cursor next poll.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
-            Err(e) => return Err(io_err("read segment for tail", e)),
+/// How many bytes a [`WalTail`] reads from its segment at a time.
+const TAIL_READ_CHUNK: u64 = 1 << 20;
+
+fn compacted(lsn: u64) -> Error {
+    Error::Io(format!("wal tail: lsn {lsn} was compacted away"))
+}
+
+/// A cursor that follows a live log as the writer writes it out (the
+/// replication session's read path): a segment, held open at a byte
+/// offset, and the LSN of the next frame there. Each [`read`](Self::read)
+/// reads only what was written out since the previous one, checks each
+/// frame's length, CRC and LSN without decoding its record, and hands the
+/// frames back raw, byte-identical to the segment file.
+#[derive(Debug)]
+pub struct WalTail {
+    dir: PathBuf,
+    /// First LSN of the segment being read (its name).
+    segment: u64,
+    file: File,
+    /// Byte offset in the segment of `buf[head]`.
+    offset: u64,
+    /// Bytes read from `file`; `buf[head..]` are not handed out yet.
+    buf: Vec<u8>,
+    head: usize,
+    /// LSN of the frame at `buf[head]`.
+    next_lsn: u64,
+    /// Highest LSN handed out; frames at or below it are skipped.
+    last_lsn: u64,
+}
+
+impl WalTail {
+    /// A cursor in `dir` whose first frame handed out is `after + 1`;
+    /// errors if the log no longer holds that frame.
+    pub fn open(dir: &Path, after: u64) -> Result<WalTail> {
+        let segments = list_segments(dir)?;
+        let Some((segment, path)) = segments.iter().rev().find(|(s, _)| *s <= after + 1) else {
+            return Err(compacted(after + 1));
         };
-        let mut offset = 0usize;
-        let mut expected = *seg_start;
+        Ok(WalTail {
+            dir: dir.to_path_buf(),
+            segment: *segment,
+            file: File::open(path).map_err(|e| io_err("open segment for tail", e))?,
+            offset: 0,
+            buf: Vec::new(),
+            head: 0,
+            next_lsn: *segment,
+            last_lsn: after,
+        })
+    }
+
+    /// Highest LSN this cursor has handed out.
+    pub fn last_lsn(&self) -> u64 {
+        self.last_lsn
+    }
+
+    /// Append up to `max` raw frames above [`last_lsn`](Self::last_lsn)
+    /// to `out`; returns the new `last_lsn`.
+    ///
+    /// `written` is the writer's highest written-out LSN, read before the
+    /// call. Frames up to it must read back: the cursor follows rotation
+    /// into the segment named after its next LSN, and errors when that
+    /// segment was compacted away or such a frame does not check. A frame
+    /// past `written` that does not check yet is one the writer is still
+    /// writing: the call returns ("caught up"), and the next call resumes
+    /// at that frame.
+    pub fn read(&mut self, written: u64, max: usize, out: &mut Vec<u8>) -> Result<u64> {
+        let mut taken = 0;
         loop {
-            if out.len() >= max {
-                return Ok(out);
-            }
-            match read_frame(&buf, offset) {
-                FrameRead::Frame { lsn, record, size } => {
-                    if lsn != expected {
-                        return Err(Error::Io(format!(
-                            "wal tail read: frame lsn {lsn} in {}, expected {expected}",
-                            path.display()
-                        )));
-                    }
-                    if lsn >= want {
-                        out.push((lsn, record));
-                    }
-                    expected = lsn + 1;
-                    offset += size;
+            while taken < max {
+                let Some((lsn, size)) = frame_lsn(&self.buf[self.head..]) else {
+                    break;
+                };
+                if lsn != self.next_lsn {
+                    return Err(Error::Io(format!(
+                        "wal tail: frame lsn {lsn} at byte {} of segment {}, expected {}",
+                        self.offset, self.segment, self.next_lsn
+                    )));
                 }
-                FrameRead::Eof => break,
-                // An incomplete frame mid-write: stop here, do not skip
-                // ahead into later segments.
-                FrameRead::BadTail(_) => return Ok(out),
+                if lsn > self.last_lsn {
+                    out.extend_from_slice(&self.buf[self.head..self.head + size]);
+                    self.last_lsn = lsn;
+                    taken += 1;
+                }
+                self.next_lsn += 1;
+                self.head += size;
+                self.offset += size as u64;
             }
+            if taken == max || self.next_lsn > written {
+                return Ok(self.last_lsn);
+            }
+            self.buf.drain(..self.head);
+            self.head = 0;
+            let n = (&self.file)
+                .take(TAIL_READ_CHUNK)
+                .read_to_end(&mut self.buf)
+                .map_err(|e| io_err("read segment for tail", e))?;
+            if n > 0 {
+                continue;
+            }
+            if !self.buf.is_empty() {
+                return Err(Error::Io(format!(
+                    "wal tail: frame {} is written out but does not check at byte {} of \
+                     segment {}",
+                    self.next_lsn, self.offset, self.segment
+                )));
+            }
+            // The segment is done, and frame `next_lsn` opens the next one.
+            self.file = match File::open(self.dir.join(segment_name(self.next_lsn))) {
+                Ok(f) => f,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                    return Err(compacted(self.next_lsn))
+                }
+                Err(e) => return Err(io_err("open segment for tail", e)),
+            };
+            self.segment = self.next_lsn;
+            self.offset = 0;
         }
     }
-    Ok(out)
 }
 
 /// Delete or cut back segment files so no frame with LSN above `lsn`
@@ -240,40 +294,24 @@ pub fn truncate_above(dir: &Path, lsn: u64) -> Result<u64> {
     let mut dropped = 0u64;
     for (seg_start, path) in &list_segments(dir)? {
         let buf = std::fs::read(path).map_err(|e| io_err("read segment for truncation", e))?;
-        if *seg_start > lsn {
-            // Entirely above the cut: count its frames and remove it.
-            let mut offset = 0usize;
-            while let FrameRead::Frame { size, .. } = read_frame(&buf, offset) {
+        // Walk the frame headers: the cut is the first frame above `lsn`
+        // (or the end of the valid frames), and everything after it goes.
+        let (mut offset, mut cut) = (0, None);
+        while let Some((frame, size)) = frame_lsn(&buf[offset..]) {
+            if frame > lsn {
+                cut.get_or_insert(offset);
                 dropped += 1;
-                offset += size;
-            }
-            std::fs::remove_file(path).map_err(|e| io_err("remove truncated segment", e))?;
-            continue;
-        }
-        // Walk to the byte offset right after `lsn` and cut there.
-        let mut offset = 0usize;
-        while let FrameRead::Frame {
-            lsn: frame_lsn,
-            size,
-            ..
-        } = read_frame(&buf, offset)
-        {
-            if frame_lsn > lsn {
-                break;
             }
             offset += size;
         }
-        if offset < buf.len() {
-            let mut probe = offset;
-            while let FrameRead::Frame { size, .. } = read_frame(&buf, probe) {
-                dropped += 1;
-                probe += size;
-            }
+        if *seg_start > lsn {
+            std::fs::remove_file(path).map_err(|e| io_err("remove truncated segment", e))?;
+        } else if let Some(cut) = cut.or((offset < buf.len()).then_some(offset)) {
             let f = OpenOptions::new()
                 .write(true)
                 .open(path)
                 .map_err(|e| io_err("open segment for truncation", e))?;
-            f.set_len(offset as u64)
+            f.set_len(cut as u64)
                 .map_err(|e| io_err("truncate segment", e))?;
             f.sync_all()
                 .map_err(|e| io_err("sync truncated segment", e))?;
@@ -465,6 +503,18 @@ impl Wal {
     /// Highest LSN known fsynced to stable storage.
     pub fn durable(&self) -> u64 {
         self.durable_lsn
+    }
+
+    /// Highest LSN written out to the segment files.
+    pub fn written(&self) -> u64 {
+        self.written_lsn
+    }
+
+    /// Write the group-commit buffer out, with no fsync; returns
+    /// [`written`](Self::written).
+    pub fn write_out(&mut self) -> Result<u64> {
+        self.write_buffer()?;
+        Ok(self.written_lsn)
     }
 
     /// Rotate to a fresh segment starting at `first_lsn`. The old segment
@@ -681,69 +731,139 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn tail_read_follows_a_live_writer() {
-        let dir = temp_dir("tail");
-        let cfg = DurabilityConfig {
+    /// The LSNs of the raw frames in `bytes`.
+    fn lsns(bytes: &[u8]) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut offset = 0;
+        while let FrameRead::Frame { lsn, size, .. } = read_frame(bytes, offset) {
+            out.push(lsn);
+            offset += size;
+        }
+        assert_eq!(offset, bytes.len(), "whole frames only");
+        out
+    }
+
+    fn small_segments() -> DurabilityConfig {
+        DurabilityConfig {
             max_segment_bytes: 128,
             ..DurabilityConfig::default()
-        };
-        let mut wal = Wal::open(&dir, cfg, 1).unwrap();
+        }
+    }
+
+    #[test]
+    fn tail_follows_a_live_writer_across_rotation() {
+        let dir = temp_dir("tail");
+        let mut wal = Wal::open(&dir, small_segments(), 1).unwrap();
         for i in 0..10 {
             wal.append(&rec(i)).unwrap();
         }
-        // Cursor at 0: everything; at 7: the suffix; capped by max.
-        let all = read_frames_after(&dir, 0, 100).unwrap();
-        assert_eq!(
-            all.iter().map(|(l, _)| *l).collect::<Vec<_>>(),
-            (1..=10).collect::<Vec<_>>()
-        );
-        let tail = read_frames_after(&dir, 7, 100).unwrap();
-        assert_eq!(tail.iter().map(|(l, _)| *l).collect::<Vec<_>>(), [8, 9, 10]);
-        let capped = read_frames_after(&dir, 0, 4).unwrap();
-        assert_eq!(capped.len(), 4);
-        // The writer keeps going; the tailer picks up from its cursor.
-        for i in 10..15 {
+        // From the start: everything, `max` frames at a time.
+        let mut tail = WalTail::open(&dir, 0).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(tail.read(wal.written(), 4, &mut out).unwrap(), 4);
+        assert_eq!(lsns(&out), [1, 2, 3, 4]);
+        assert_eq!(tail.read(wal.written(), 100, &mut out).unwrap(), 10);
+        assert_eq!(lsns(&out), (1..=10).collect::<Vec<_>>());
+        // Caught up: nothing more, and no error.
+        out.clear();
+        assert_eq!(tail.read(wal.written(), 100, &mut out).unwrap(), 10);
+        assert!(out.is_empty());
+        // From inside the log: the suffix.
+        let mut late = WalTail::open(&dir, 7).unwrap();
+        assert_eq!(late.read(wal.written(), 100, &mut out).unwrap(), 10);
+        assert_eq!(lsns(&out), [8, 9, 10]);
+        // The writer rotates on; the cursor follows it.
+        let before = list_segments(&dir).unwrap().len();
+        for i in 10..30 {
             wal.append(&rec(i)).unwrap();
         }
-        let more = read_frames_after(&dir, 10, 100).unwrap();
-        assert_eq!(
-            more.iter().map(|(l, _)| *l).collect::<Vec<_>>(),
-            (11..=15).collect::<Vec<_>>()
-        );
-        // A torn frame at the tail reads as "caught up", not an error.
-        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
-        let len = std::fs::metadata(&path).unwrap().len();
-        OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .unwrap()
-            .set_len(len - 2)
-            .unwrap();
-        let torn = read_frames_after(&dir, 10, 100).unwrap();
-        assert_eq!(torn.last().unwrap().0, 14, "torn final frame not served");
+        assert!(list_segments(&dir).unwrap().len() > before + 1);
+        out.clear();
+        assert_eq!(tail.read(wal.written(), 100, &mut out).unwrap(), 30);
+        assert_eq!(lsns(&out), (11..=30).collect::<Vec<_>>());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn tail_read_errors_when_cursor_is_compacted() {
+    fn tail_hands_back_the_on_disk_frames_byte_for_byte() {
+        let dir = temp_dir("tailbytes");
+        let mut wal = Wal::open(&dir, small_segments(), 1).unwrap();
+        let mut tail = WalTail::open(&dir, 0).unwrap();
+        let mut out = Vec::new();
+        for i in 0..25 {
+            wal.append(&rec(i)).unwrap();
+            if i % 7 == 0 {
+                tail.read(wal.written(), 3, &mut out).unwrap();
+            }
+        }
+        while tail.read(wal.written(), 3, &mut out).unwrap() < 25 {}
+        let on_disk: Vec<u8> = list_segments(&dir)
+            .unwrap()
+            .iter()
+            .flat_map(|(_, path)| std::fs::read(path).unwrap())
+            .collect();
+        assert_eq!(out, on_disk);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn tail_reads_a_torn_frame_as_caught_up() {
+        let dir = temp_dir("tailtorn");
+        let mut wal = Wal::open(&dir, DurabilityConfig::default(), 1).unwrap();
+        for i in 0..5 {
+            wal.append(&rec(i)).unwrap();
+        }
+        // Frame 6 is half written, as a reader racing the writer sees it.
+        let mut frame = Vec::new();
+        encode_frame(6, &rec(5), &mut frame);
+        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+        let mut seg = OpenOptions::new().append(true).open(&path).unwrap();
+        seg.write_all(&frame[..frame.len() / 2]).unwrap();
+        let mut tail = WalTail::open(&dir, 0).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(tail.read(5, 100, &mut out).unwrap(), 5);
+        assert_eq!(lsns(&out), [1, 2, 3, 4, 5]);
+        out.clear();
+        assert_eq!(tail.read(5, 100, &mut out).unwrap(), 5, "still caught up");
+        assert!(out.is_empty());
+        // A torn frame the writer reports written out is damage.
+        let err = tail.read(6, 100, &mut out).unwrap_err();
+        assert!(err.to_string().contains("does not check"), "got: {err}");
+        // The rest of the frame lands; the cursor resumes at it.
+        seg.write_all(&frame[frame.len() / 2..]).unwrap();
+        assert_eq!(tail.read(6, 100, &mut out).unwrap(), 6);
+        assert_eq!(out, frame);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn tail_errors_when_its_segment_was_compacted() {
         let dir = temp_dir("tailgone");
-        let cfg = DurabilityConfig {
-            max_segment_bytes: 128,
-            ..DurabilityConfig::default()
-        };
-        let mut wal = Wal::open(&dir, cfg, 1).unwrap();
+        let mut wal = Wal::open(&dir, small_segments(), 1).unwrap();
         for i in 0..40 {
             wal.append(&rec(i)).unwrap();
         }
-        wal.flush().unwrap();
-        let second_start = list_segments(&dir).unwrap()[1].0;
-        wal.compact_below(second_start - 1).unwrap();
-        let err = read_frames_after(&dir, 0, 100).unwrap_err();
+        let segments = list_segments(&dir).unwrap();
+        assert!(segments.len() > 3);
+        // A cursor parked in the first segment...
+        let mut parked = WalTail::open(&dir, 0).unwrap();
+        let mut out = Vec::new();
+        parked.read(wal.written(), 1, &mut out).unwrap();
+        // ...and the first two segments compacted away.
+        let third = segments[2].0;
+        assert_eq!(wal.compact_below(third - 1).unwrap(), 2);
+        let err = WalTail::open(&dir, 0).unwrap_err();
         assert!(err.to_string().contains("compacted"), "got: {err}");
+        // The parked cursor finishes the segment it holds open, then
+        // finds its successor gone.
+        let err = parked.read(wal.written(), 100, &mut out).unwrap_err();
+        assert!(err.to_string().contains("compacted"), "got: {err}");
+        assert_eq!(parked.last_lsn(), segments[1].0 - 1);
         // A cursor inside the retained range still works.
-        let ok = read_frames_after(&dir, second_start - 1, 100).unwrap();
-        assert_eq!(ok.first().unwrap().0, second_start);
+        let mut ok = WalTail::open(&dir, third - 1).unwrap();
+        out.clear();
+        ok.read(wal.written(), 100, &mut out).unwrap();
+        assert_eq!(lsns(&out), (third..=40).collect::<Vec<_>>());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -239,7 +239,7 @@ impl Shard {
         if self
             .handle
             .poller
-            .register(stream.as_raw_fd(), token, Interest::READABLE, false)
+            .register(stream.as_raw_fd(), token, Interest::READABLE)
             .is_err()
         {
             let _ = stream.shutdown(Shutdown::Both);
@@ -529,7 +529,7 @@ impl Shard {
             if self
                 .handle
                 .poller
-                .reregister(conn.stream.as_raw_fd(), token, interest, false)
+                .reregister(conn.stream.as_raw_fd(), token, interest)
                 .is_err()
             {
                 return false;

@@ -10,17 +10,9 @@
 //!
 //! ## Readiness semantics
 //!
-//! * **Level-triggered** (the default): `wait` reports a registered fd
-//!   readable/writable as long as the condition holds. Handlers may
-//!   consume as little as they like; the next `wait` re-reports.
-//! * **Edge-triggered** (`edge = true`): the Linux backend passes
-//!   `EPOLLET`, reporting only *transitions* — a handler that does not
-//!   drain to `WouldBlock` is not re-notified until new bytes (or new
-//!   window space) arrive. The `poll(2)` fallback degrades edge to
-//!   level, which is a legal over-approximation: the contract is that
-//!   spurious/repeated readiness is always permitted, so correct
-//!   callers drain to `WouldBlock` either way and merely lose the
-//!   suppression optimization.
+//! Level-triggered: `wait` reports a registered fd readable/writable as
+//! long as the condition holds. Handlers may consume as little as they
+//! like; the next `wait` re-reports.
 //!
 //! A poller is `Sync`: registration and `wait` belong to the owning
 //! loop thread, while [`wake`](Poller::wake) may be called from any
@@ -136,20 +128,16 @@ mod epoll {
     const EPOLLERR: u32 = 0x008;
     const EPOLLHUP: u32 = 0x010;
     const EPOLLRDHUP: u32 = 0x2000;
-    const EPOLLET: u32 = 1 << 31;
     const EFD_CLOEXEC: i32 = 0o2000000;
     const EFD_NONBLOCK: i32 = 0o4000;
 
-    fn mask(interest: Interest, edge: bool) -> u32 {
+    fn mask(interest: Interest) -> u32 {
         let mut m = EPOLLRDHUP;
         if interest.contains(Interest::READABLE) {
             m |= EPOLLIN;
         }
         if interest.contains(Interest::WRITABLE) {
             m |= EPOLLOUT;
-        }
-        if edge {
-            m |= EPOLLET;
         }
         m
     }
@@ -196,25 +184,13 @@ mod epoll {
         }
 
         /// Start watching `fd` under `token`.
-        pub fn register(
-            &self,
-            fd: RawFd,
-            token: Token,
-            interest: Interest,
-            edge: bool,
-        ) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, mask(interest, edge), token)
+        pub fn register(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, fd, mask(interest), token)
         }
 
-        /// Change an existing registration's interest/mode.
-        pub fn reregister(
-            &self,
-            fd: RawFd,
-            token: Token,
-            interest: Interest,
-            edge: bool,
-        ) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, mask(interest, edge), token)
+        /// Change an existing registration's interest.
+        pub fn reregister(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_MOD, fd, mask(interest), token)
         }
 
         /// Stop watching `fd`.
@@ -284,8 +260,7 @@ mod epoll {
     }
 }
 
-/// Portable `poll(2)` backend for non-Linux unix — level-triggered only
-/// (edge degrades to level, see the module docs). Compiled on Linux too
+/// Portable `poll(2)` backend for non-Linux unix. Compiled on Linux too
 /// so its tests run in CI.
 #[cfg(unix)]
 mod posix {
@@ -359,15 +334,8 @@ mod posix {
             })
         }
 
-        /// Start watching `fd` under `token`. `edge` is accepted for API
-        /// parity and degraded to level (see module docs).
-        pub fn register(
-            &self,
-            fd: RawFd,
-            token: Token,
-            interest: Interest,
-            _edge: bool,
-        ) -> io::Result<()> {
+        /// Start watching `fd` under `token`.
+        pub fn register(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
             let mut table = self.fd_table.lock();
             if table.iter().any(|(f, _, _)| *f == fd) {
                 return Err(io::Error::new(
@@ -380,13 +348,7 @@ mod posix {
         }
 
         /// Change an existing registration's interest.
-        pub fn reregister(
-            &self,
-            fd: RawFd,
-            token: Token,
-            interest: Interest,
-            _edge: bool,
-        ) -> io::Result<()> {
+        pub fn reregister(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
             let mut table = self.fd_table.lock();
             match table.iter_mut().find(|(f, _, _)| *f == fd) {
                 Some(entry) => {
@@ -484,7 +446,7 @@ mod posix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
+    use std::io::Write;
     use std::os::unix::io::AsRawFd;
     use std::os::unix::net::UnixStream;
     use std::time::Instant;
@@ -502,8 +464,7 @@ mod tests {
                 fn readable_event_carries_the_registration_token() {
                     let p = <$poller>::new().unwrap();
                     let (a, mut b) = UnixStream::pair().unwrap();
-                    p.register(a.as_raw_fd(), 7, Interest::READABLE, false)
-                        .unwrap();
+                    p.register(a.as_raw_fd(), 7, Interest::READABLE).unwrap();
                     let mut events = Vec::new();
                     p.wait(&mut events, SHORT).unwrap();
                     assert!(events.is_empty(), "no data yet: {events:?}");
@@ -518,8 +479,7 @@ mod tests {
                 fn level_mode_refires_until_consumed() {
                     let p = <$poller>::new().unwrap();
                     let (a, mut b) = UnixStream::pair().unwrap();
-                    p.register(a.as_raw_fd(), 1, Interest::READABLE, false)
-                        .unwrap();
+                    p.register(a.as_raw_fd(), 1, Interest::READABLE).unwrap();
                     b.write_all(b"xy").unwrap();
                     let mut events = Vec::new();
                     for _ in 0..3 {
@@ -532,20 +492,17 @@ mod tests {
                 fn interest_modify_switches_direction_and_remove_silences() {
                     let p = <$poller>::new().unwrap();
                     let (a, mut b) = UnixStream::pair().unwrap();
-                    p.register(a.as_raw_fd(), 3, Interest::READABLE, false)
-                        .unwrap();
+                    p.register(a.as_raw_fd(), 3, Interest::READABLE).unwrap();
                     b.write_all(b"x").unwrap();
                     // Modify: only writability is interesting now — the
                     // unread byte must stop being reported.
-                    p.reregister(a.as_raw_fd(), 3, Interest::WRITABLE, false)
-                        .unwrap();
+                    p.reregister(a.as_raw_fd(), 3, Interest::WRITABLE).unwrap();
                     let mut events = Vec::new();
                     p.wait(&mut events, SHORT).unwrap();
                     assert_eq!(events.len(), 1);
                     assert!(events[0].writable && !events[0].readable);
                     // Both directions at once.
-                    p.reregister(a.as_raw_fd(), 3, Interest::BOTH, false)
-                        .unwrap();
+                    p.reregister(a.as_raw_fd(), 3, Interest::BOTH).unwrap();
                     p.wait(&mut events, SHORT).unwrap();
                     assert!(events[0].readable && events[0].writable);
                     // Remove: a ready fd no longer surfaces at all.
@@ -580,8 +537,7 @@ mod tests {
                 fn peer_close_reports_readable() {
                     let p = <$poller>::new().unwrap();
                     let (a, b) = UnixStream::pair().unwrap();
-                    p.register(a.as_raw_fd(), 9, Interest::READABLE, false)
-                        .unwrap();
+                    p.register(a.as_raw_fd(), 9, Interest::READABLE).unwrap();
                     drop(b);
                     let mut events = Vec::new();
                     p.wait(&mut events, SHORT).unwrap();
@@ -595,66 +551,6 @@ mod tests {
     #[cfg(target_os = "linux")]
     backend_suite!(epoll_backend, EpollPoller);
     backend_suite!(posix_backend, PollPoller);
-
-    /// Edge semantics are epoll-specific (the fallback degrades to
-    /// level), so the re-arm tests pin the epoll backend.
-    #[cfg(target_os = "linux")]
-    mod edge {
-        use super::*;
-
-        #[test]
-        fn partial_read_does_not_rearm_but_new_data_does() {
-            let p = EpollPoller::new().unwrap();
-            let (mut a, mut b) = UnixStream::pair().unwrap();
-            p.register(a.as_raw_fd(), 5, Interest::READABLE, true)
-                .unwrap();
-            b.write_all(b"ab").unwrap();
-            let mut events = Vec::new();
-            p.wait(&mut events, SHORT).unwrap();
-            assert_eq!(events.len(), 1, "first edge fires");
-            // Consume one byte of two: the buffer stays non-empty, but
-            // edge mode reports transitions, not states.
-            let mut one = [0u8; 1];
-            a.read_exact(&mut one).unwrap();
-            p.wait(&mut events, SHORT).unwrap();
-            assert!(events.is_empty(), "unconsumed edge must not refire");
-            // New bytes are a fresh transition: the edge re-arms.
-            b.write_all(b"c").unwrap();
-            p.wait(&mut events, SHORT).unwrap();
-            assert_eq!(events.len(), 1, "new data must re-arm the edge");
-        }
-
-        #[test]
-        fn write_edge_rearms_when_the_window_reopens() {
-            let p = EpollPoller::new().unwrap();
-            let (a, mut b) = UnixStream::pair().unwrap();
-            a.set_nonblocking(true).unwrap();
-            // Fill the send buffer to WouldBlock: writability is spent.
-            let chunk = [0u8; 4096];
-            let mut sent = 0usize;
-            loop {
-                match (&a).write(&chunk) {
-                    Ok(n) => sent += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) => panic!("fill: {e}"),
-                }
-            }
-            p.register(a.as_raw_fd(), 6, Interest::WRITABLE, true)
-                .unwrap();
-            let mut events = Vec::new();
-            p.wait(&mut events, SHORT).unwrap();
-            assert!(events.is_empty(), "a full socket is not writable");
-            // Drain the peer: window space is a transition → edge fires.
-            let mut drain = vec![0u8; sent];
-            b.read_exact(&mut drain).unwrap();
-            p.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-            assert_eq!(events.len(), 1);
-            assert!(
-                events[0].writable,
-                "reopened window must fire the write edge"
-            );
-        }
-    }
 
     #[test]
     fn timeout_expires_without_events() {

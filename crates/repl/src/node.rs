@@ -9,9 +9,9 @@
 //!
 //! * **Primary** ([`ReplNode::open_primary`]) — serves reads *and*
 //!   writes; every accepted replication connection gets a session thread
-//!   that tails the WAL via `DurabilityEngine::read_frames_after` and
-//!   ships frame batches, one batch in flight, advancing on the
-//!   replica's durable ack.
+//!   that follows the WAL with a [`WalTail`](quaestor_durability::wal::WalTail)
+//!   cursor and ships its raw frames in batches, one batch in flight,
+//!   advancing on the replica's durable ack.
 //! * **Replica** ([`ReplNode::open_replica`]) — serves reads (rejecting
 //!   writes with a recognizable `BadRequest`), while a follower thread
 //!   replays shipped frames: append to its own WAL through the
@@ -27,6 +27,8 @@
 //! governs replica-read staleness verbatim — stale reads are *bounded*,
 //! not prevented, which is the same contract every web cache in the
 //! system already has.
+//!
+//! Every blocking wait has a waker; `DESIGN.md` lists each one.
 //!
 //! ## Fencing
 //!
@@ -47,7 +49,7 @@ use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use quaestor_common::{lock_rank, Error, Result, SystemClock};
 use quaestor_core::{
     QuaestorServer, ReplRole, ReplicationStatus, Request, Response, ServerConfig, Service,
@@ -57,7 +59,7 @@ use quaestor_net::wire::{decode_frame, encode_frame, FrameDecode, FrameKind};
 use quaestor_net::NetServer;
 
 use crate::epoch::{load_lineage, store_lineage};
-use crate::protocol::{decode_batch, encode_batch, Ack, Hello, HelloAck, Lineage};
+use crate::protocol::{decode_batch, Ack, Hello, HelloAck, Lineage};
 
 /// Connect timeout for replication sockets.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
@@ -69,6 +71,8 @@ const SESSION_ACK_TIMEOUT: Duration = Duration::from_secs(30);
 /// Socket write timeout — a peer that cannot drain a batch in this long
 /// is as good as gone.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+/// Max WAL frames per shipped batch.
+const BATCH_MAX: usize = 256;
 
 /// Tunables for a [`ReplNode`].
 #[derive(Debug, Clone, Copy)]
@@ -79,12 +83,6 @@ pub struct ReplConfig {
     /// guarantee needs `FsyncPolicy::Always` (the default): a replica's
     /// ack covers exactly what it fsynced.
     pub durability: DurabilityConfig,
-    /// Max WAL frames per shipped batch.
-    pub batch_max: usize,
-    /// Socket read-timeout slice; also the primary's effective tail-poll
-    /// interval when a session is caught up, i.e. the floor on
-    /// replication latency.
-    pub io_timeout: Duration,
     /// Follower reconnect delay after a failed or dropped session.
     pub reconnect_backoff: Duration,
     /// Writes are acked only after this many replicas have durably
@@ -103,8 +101,6 @@ impl Default for ReplConfig {
         ReplConfig {
             server: ServerConfig::default(),
             durability: DurabilityConfig::default(),
-            batch_max: 256,
-            io_timeout: Duration::from_millis(25),
             reconnect_backoff: Duration::from_millis(50),
             ack_replicas: 0,
             ack_timeout: Duration::from_secs(5),
@@ -116,18 +112,7 @@ fn net_err(context: &str, e: impl std::fmt::Display) -> Error {
     Error::Net(format!("replication: {context}: {e}"))
 }
 
-/// One received event on a replication connection.
-enum Received {
-    /// A complete frame.
-    Frame { kind: FrameKind, body: Vec<u8> },
-    /// The read timed out with no complete frame; check stop flags and
-    /// try again.
-    Idle,
-    /// The peer closed the connection cleanly.
-    Closed,
-}
-
-/// A replication connection: buffered frame reads with timeout slices,
+/// A replication connection: blocking frame reads against a deadline,
 /// frame writes. Request ids are unused on replication connections (no
 /// pipelining — one batch in flight), so every frame carries id 0.
 struct FrameConn {
@@ -136,11 +121,9 @@ struct FrameConn {
 }
 
 impl FrameConn {
-    fn new(sock: TcpStream, io_timeout: Duration) -> Result<FrameConn> {
+    fn new(sock: TcpStream) -> Result<FrameConn> {
         sock.set_nodelay(true)
             .map_err(|e| net_err("set_nodelay", e))?;
-        sock.set_read_timeout(Some(io_timeout))
-            .map_err(|e| net_err("set_read_timeout", e))?;
         sock.set_write_timeout(Some(WRITE_TIMEOUT))
             .map_err(|e| net_err("set_write_timeout", e))?;
         Ok(FrameConn {
@@ -149,71 +132,76 @@ impl FrameConn {
         })
     }
 
+    fn connect(addr: SocketAddr) -> Result<FrameConn> {
+        FrameConn::new(
+            TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)
+                .map_err(|e| net_err("connect", e))?,
+        )
+    }
+
     fn send(&mut self, kind: FrameKind, body: &[u8]) -> Result<()> {
         let mut out = Vec::with_capacity(body.len() + 32);
         encode_frame(kind, 0, body, &mut out);
         self.sock.write_all(&out).map_err(|e| net_err("send", e))
     }
 
-    fn recv(&mut self) -> Result<Received> {
+    /// Block until the next frame arrives and return its body; it must
+    /// be of kind `want`. `deadline` bounds the wait (`None`: until the
+    /// peer closes, or the socket is shut down to cut the wait).
+    fn recv(&mut self, want: FrameKind, deadline: Option<Instant>) -> Result<Vec<u8>> {
         loop {
-            let decoded = match decode_frame(&self.inbox) {
-                FrameDecode::Frame(f) => Some((f.kind, f.body.to_vec(), f.size)),
-                FrameDecode::Incomplete => None,
+            match decode_frame(&self.inbox) {
+                FrameDecode::Frame(f) if f.kind == want => {
+                    let (body, size) = (f.body.to_vec(), f.size);
+                    self.inbox.drain(..size);
+                    return Ok(body);
+                }
+                FrameDecode::Frame(f) => {
+                    return Err(net_err(
+                        "protocol",
+                        format!("expected {want:?}, got {:?}", f.kind),
+                    ))
+                }
+                FrameDecode::Incomplete => {}
                 FrameDecode::Corrupt(e) => return Err(net_err("frame", e)),
-            };
-            if let Some((kind, body, size)) = decoded {
-                self.inbox.drain(..size);
-                return Ok(Received::Frame { kind, body });
             }
+            let timeout = match deadline {
+                Some(d) => match d.checked_duration_since(Instant::now()) {
+                    Some(left) if !left.is_zero() => Some(left),
+                    _ => return Err(net_err("timeout", format!("waiting for {want:?}"))),
+                },
+                None => None,
+            };
+            self.sock
+                .set_read_timeout(timeout)
+                .map_err(|e| net_err("set_read_timeout", e))?;
             let mut buf = [0u8; 16 * 1024];
             match self.sock.read(&mut buf) {
-                Ok(0) => return Ok(Received::Closed),
+                Ok(0) => return Err(net_err("recv", "peer closed")),
                 Ok(n) => self.inbox.extend_from_slice(&buf[..n]),
+                // Timed out (the next deadline check ends the wait) or
+                // interrupted.
                 Err(e)
                     if matches!(
                         e.kind(),
                         std::io::ErrorKind::WouldBlock
                             | std::io::ErrorKind::TimedOut
                             | std::io::ErrorKind::Interrupted
-                    ) =>
-                {
-                    return Ok(Received::Idle)
-                }
+                    ) => {}
                 Err(e) => return Err(net_err("recv", e)),
             }
         }
     }
+}
 
-    /// Receive frames until one of kind `want` arrives; any other kind
-    /// is a protocol violation. `stop` is polled on every timeout slice.
-    fn await_frame(
-        &mut self,
-        want: FrameKind,
-        deadline: Instant,
-        stop: &dyn Fn() -> bool,
-    ) -> Result<Vec<u8>> {
-        loop {
-            if stop() {
-                return Err(Error::Closed("replication: session stopping".into()));
-            }
-            match self.recv()? {
-                Received::Frame { kind, body } if kind == want => return Ok(body),
-                Received::Frame { kind, .. } => {
-                    return Err(net_err(
-                        "protocol",
-                        format!("expected {want:?}, got {kind:?}"),
-                    ))
-                }
-                Received::Idle => {
-                    if Instant::now() >= deadline {
-                        return Err(net_err("timeout", format!("waiting for {want:?}")));
-                    }
-                }
-                Received::Closed => return Err(net_err("recv", "peer closed")),
-            }
-        }
-    }
+/// Introduce this node's log to a primary and read where it must
+/// resume: the one handshake, for `open_replica` and the follower.
+fn handshake(conn: &mut FrameConn, hello: Hello) -> Result<HelloAck> {
+    conn.send(FrameKind::ReplHello, &hello.encode())?;
+    HelloAck::decode(&conn.recv(
+        FrameKind::ReplHelloAck,
+        Some(Instant::now() + HANDSHAKE_TIMEOUT),
+    )?)
 }
 
 /// Role and epoch lineage, under one lock so promotion is atomic.
@@ -237,13 +225,28 @@ struct Session {
     handle: JoinHandle<()>,
 }
 
+/// The follower's link to its primary. The count of cuts (`kill`,
+/// `promote`, `refollow`) shares its lock, so that a follower connecting
+/// or backing off cannot miss one.
+struct FollowLink {
+    target: SocketAddr,
+    /// A clone of the live session's socket, shut down to cut it.
+    sock: Option<TcpStream>,
+    cuts: u64,
+}
+
+/// The node's client endpoint and threads, taken apart by `kill`.
+#[derive(Default)]
+struct NodeThreads {
+    net: Option<NetServer>,
+    accept: Option<JoinHandle<()>>,
+    follower: Option<JoinHandle<()>>,
+}
+
 /// Why a follower session ended.
 enum FollowExit {
-    /// Shutdown or promotion: stop following for good.
+    /// Shutdown, promotion or divergence: stop following for good.
     Stop,
-    /// The primary demands a truncation below our live state; the node
-    /// must be reopened via [`ReplNode::open_replica`] to rejoin.
-    Diverged,
     /// Connection-level trouble: back off and reconnect.
     Retry,
 }
@@ -257,18 +260,20 @@ pub struct ReplNode {
     role_state: Mutex<NodeRole>,
     shutdown: AtomicBool,
     /// Set when the follower found its live state on an abandoned
-    /// timeline (see [`FollowExit::Diverged`]).
+    /// timeline; the node must be reopened via
+    /// [`open_replica`](Self::open_replica) to rejoin.
     diverged: AtomicBool,
     repl_addr: SocketAddr,
     client_addr: OnceLock<SocketAddr>,
-    net_slot: Mutex<Option<NetServer>>,
-    accept_slot: Mutex<Option<JoinHandle<()>>>,
-    follower_slot: Mutex<Option<JoinHandle<()>>>,
-    follower_conn: Mutex<Option<TcpStream>>,
-    /// Where the follower thread connects; retargetable via
-    /// [`refollow`](Self::refollow) after a failover.
-    follow_target: Mutex<SocketAddr>,
+    node_threads: Mutex<NodeThreads>,
+    follow_link: Mutex<FollowLink>,
+    /// Notified (under `follow_link`) on every cut: wakes the follower's
+    /// reconnect backoff and the accept loop's error backoff.
+    cut: Condvar,
     sessions: Mutex<Vec<Session>>,
+    /// Notified (under `sessions`) on every replica ack and on `kill`:
+    /// wakes semi-sync writers.
+    acked: Condvar,
     /// Highest LSN applied to served state: the recovered log at open,
     /// then every frame the follower applies.
     applied_lsn: AtomicU64,
@@ -355,7 +360,7 @@ impl ReplNode {
                 epoch: lineage.current_epoch(),
                 last_lsn: engine.last_lsn(),
             };
-            match probe_handshake(primary, hello, cfg.io_timeout) {
+            match FrameConn::connect(primary).and_then(|mut conn| handshake(&mut conn, hello)) {
                 Ok(ack) => {
                     if ack.resume_from < engine.last_lsn() {
                         if truncated {
@@ -425,32 +430,27 @@ impl ReplNode {
             diverged: AtomicBool::new(false),
             repl_addr,
             client_addr: OnceLock::new(),
-            net_slot: Mutex::with_rank(None, lock_rank::REPL_THREADS.0, lock_rank::REPL_THREADS.1),
-            accept_slot: Mutex::with_rank(
-                None,
+            node_threads: Mutex::with_rank(
+                NodeThreads::default(),
                 lock_rank::REPL_THREADS.0,
                 lock_rank::REPL_THREADS.1,
             ),
-            follower_slot: Mutex::with_rank(
-                None,
+            follow_link: Mutex::with_rank(
+                FollowLink {
+                    target: primary.unwrap_or(repl_addr),
+                    sock: None,
+                    cuts: 0,
+                },
                 lock_rank::REPL_THREADS.0,
                 lock_rank::REPL_THREADS.1,
             ),
-            follower_conn: Mutex::with_rank(
-                None,
-                lock_rank::REPL_THREADS.0,
-                lock_rank::REPL_THREADS.1,
-            ),
-            follow_target: Mutex::with_rank(
-                primary.unwrap_or(repl_addr),
-                lock_rank::REPL_THREADS.0,
-                lock_rank::REPL_THREADS.1,
-            ),
+            cut: Condvar::new(),
             sessions: Mutex::with_rank(
                 Vec::new(),
                 lock_rank::REPL_SESSIONS.0,
                 lock_rank::REPL_SESSIONS.1,
             ),
+            acked: Condvar::new(),
             applied_lsn,
             #[cfg(test)]
             before_apply: OnceLock::new(),
@@ -460,20 +460,20 @@ impl ReplNode {
             Arc::new(NodeService(Arc::downgrade(&node))) as Arc<dyn Service>,
         )?;
         let _ = node.client_addr.set(net.local_addr());
-        *node.net_slot.lock() = Some(net);
+        node.node_threads.lock().net = Some(net);
         let accept_node = Arc::downgrade(&node);
         let accept = std::thread::Builder::new()
             .name(format!("qrepl-accept-{repl_addr}"))
             .spawn(move || accept_loop(listener, accept_node))
             .map_err(|e| net_err("spawn accept thread", e))?;
-        *node.accept_slot.lock() = Some(accept);
+        node.node_threads.lock().accept = Some(accept);
         if primary.is_some() {
             let follower_node = Arc::downgrade(&node);
             let follower = std::thread::Builder::new()
                 .name("qrepl-follower".into())
                 .spawn(move || follower_loop(follower_node))
                 .map_err(|e| net_err("spawn follower thread", e))?;
-            *node.follower_slot.lock() = Some(follower);
+            node.node_threads.lock().follower = Some(follower);
         }
         Ok(node)
     }
@@ -559,9 +559,7 @@ impl ReplNode {
             rs.role = ReplRole::Primary;
             self.server.promote();
         }
-        if let Some(conn) = self.follower_conn.lock().take() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
+        self.cut_follower(None);
         self.diverged.store(false, Ordering::Release);
         Ok(self.status())
     }
@@ -576,11 +574,33 @@ impl ReplNode {
                 "refollow: this node is a primary; demote it by reopening as a replica".into(),
             ));
         }
-        *self.follow_target.lock() = primary;
-        if let Some(conn) = self.follower_conn.lock().take() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
+        self.cut_follower(Some(primary));
         Ok(())
+    }
+
+    /// Cut the follower's session or backoff short (retargeting it, if
+    /// asked), and wake the accept loop's error backoff.
+    fn cut_follower(&self, target: Option<SocketAddr>) {
+        let mut link = self.follow_link.lock();
+        if let Some(target) = target {
+            link.target = target;
+        }
+        link.cuts += 1;
+        if let Some(sock) = link.sock.take() {
+            let _ = sock.shutdown(Shutdown::Both);
+        }
+        drop(link);
+        self.cut.notify_all();
+    }
+
+    /// Block until `deadline`, or until a cut after `seen`.
+    fn pause(&self, seen: u64, deadline: Instant) {
+        let mut link = self.follow_link.lock();
+        while link.cuts == seen {
+            if self.cut.wait_until(&mut link, deadline).timed_out() {
+                return;
+            }
+        }
     }
 
     /// Abrupt stop: tear down the client endpoint, the replication
@@ -593,14 +613,17 @@ impl ReplNode {
     /// useful `Drop`-based teardown.
     pub fn kill(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Take the server out first, *then* shut it down: an `if let`
-        // on `.lock().take()` would hold the rank-88 slot guard across
-        // `shutdown()`, which takes `net.server.accept` (rank 65).
-        let net = self.net_slot.lock().take();
-        if let Some(net) = net {
+        // Take the threads out first, *then* stop them: the rank-88 guard
+        // must not be held across `NetServer::shutdown`, which takes
+        // `net.server.accept` (rank 65).
+        let threads = std::mem::take(&mut *self.node_threads.lock());
+        if let Some(net) = threads.net {
             net.shutdown();
         }
-        if let Some(handle) = self.accept_slot.lock().take() {
+        // Wake the follower, the accept loop's backoff and the sessions.
+        self.cut_follower(None);
+        self.engine.stop_tails();
+        if let Some(handle) = threads.accept {
             // Wake the blocking accept with a throwaway connection (the
             // listener is loopback, so this only fails if the machine is
             // out of fds — then the thread leaks until process exit,
@@ -610,17 +633,11 @@ impl ReplNode {
                 join_not_self(handle);
             }
         }
-        // Follower side first: its slots share the rank-88 thread-slot
-        // class with `accept_slot` above, while the session registry
-        // ranks higher (90) — taking it last keeps this body in declared
-        // lock order (none of these are ever held together).
-        if let Some(conn) = self.follower_conn.lock().take() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        if let Some(handle) = self.follower_slot.lock().take() {
+        if let Some(handle) = threads.follower {
             join_not_self(handle);
         }
         let sessions = std::mem::take(&mut *self.sessions.lock());
+        self.acked.notify_all();
         for s in &sessions {
             let _ = s.shared.sock.shutdown(Shutdown::Both);
         }
@@ -629,16 +646,20 @@ impl ReplNode {
         }
     }
 
+    /// Record a replica's durable ack and wake the semi-sync writers.
+    fn note_ack(&self, shared: &SessionShared, lsn: u64) {
+        shared.acked.fetch_max(lsn, Ordering::AcqRel);
+        // Ordered before or after each writer's check by the lock.
+        drop(self.sessions.lock());
+        self.acked.notify_all();
+    }
+
     /// Block until `cfg.ack_replicas` replicas have durably acked `lsn`.
     fn wait_replicated(&self, lsn: u64) -> Result<()> {
-        if self.cfg.ack_replicas == 0 {
-            return Ok(());
-        }
         let deadline = Instant::now() + self.cfg.ack_timeout;
+        let mut sessions = self.sessions.lock();
         loop {
-            let acked = self
-                .sessions
-                .lock()
+            let acked = sessions
                 .iter()
                 .filter(|s| s.shared.acked.load(Ordering::Acquire) >= lsn)
                 .count();
@@ -655,7 +676,7 @@ impl ReplNode {
                     self.cfg.ack_replicas, self.cfg.ack_timeout
                 )));
             }
-            std::thread::sleep(Duration::from_micros(500));
+            self.acked.wait_until(&mut sessions, deadline);
         }
     }
 }
@@ -675,11 +696,12 @@ impl Service for ReplNode {
             ));
         }
         let resp = self.server.call(req)?;
-        if is_write {
-            // Semi-sync gate (when configured): the client's ack then
-            // implies the write is durable on enough replicas to
-            // survive losing this node.
-            self.wait_replicated(self.engine.last_lsn())?;
+        if is_write && self.cfg.ack_replicas > 0 {
+            // Semi-sync gate: the client's ack then implies the write is
+            // durable on enough replicas to survive losing this node. Its
+            // frame may sit in the group-commit buffer: write it out.
+            let lsn = self.engine.write_out()?;
+            self.wait_replicated(lsn)?;
         }
         Ok(resp)
     }
@@ -701,21 +723,6 @@ fn join_not_self(handle: JoinHandle<()>) {
     }
 }
 
-/// One-shot handshake used by [`ReplNode::open_replica`] before the
-/// engine exists: ask the primary where this log should resume.
-fn probe_handshake(primary: SocketAddr, hello: Hello, io_timeout: Duration) -> Result<HelloAck> {
-    let sock =
-        TcpStream::connect_timeout(&primary, CONNECT_TIMEOUT).map_err(|e| net_err("connect", e))?;
-    let mut conn = FrameConn::new(sock, io_timeout)?;
-    conn.send(FrameKind::ReplHello, &hello.encode())?;
-    let body = conn.await_frame(
-        FrameKind::ReplHelloAck,
-        Instant::now() + HANDSHAKE_TIMEOUT,
-        &|| false,
-    )?;
-    HelloAck::decode(&body)
-}
-
 /// Accept loop on the replication listener; one session thread per
 /// replica connection. Holds only a weak node handle; `kill` wakes it
 /// with a throwaway connection.
@@ -726,13 +733,15 @@ fn accept_loop(listener: TcpListener, node: Weak<ReplNode>) {
     loop {
         let (sock, _peer) = match listener.accept() {
             Ok(pair) => pair,
-            Err(_) => match node.upgrade() {
-                Some(n) if !n.shutdown.load(Ordering::SeqCst) => {
-                    std::thread::sleep(backoff.next_delay());
-                    continue;
+            Err(_) => {
+                let Some(n) = node.upgrade() else { return };
+                let seen = n.follow_link.lock().cuts;
+                if n.shutdown.load(Ordering::SeqCst) {
+                    return;
                 }
-                _ => return,
-            },
+                n.pause(seen, Instant::now() + backoff.next_delay());
+                continue;
+            }
         };
         backoff.reset();
         let Some(n) = node.upgrade() else { return };
@@ -776,16 +785,16 @@ fn accept_loop(listener: TcpListener, node: Weak<ReplNode>) {
     }
 }
 
-/// Primary side of one replication session: handshake, then ship WAL
-/// batches, one in flight, advancing on the replica's durable ack.
+/// Primary side of one replication session: handshake, then ship raw
+/// WAL frames in batches, one in flight, advancing on the replica's
+/// durable ack. A caught-up session blocks until the log writes a frame
+/// out; `kill` stops it there.
 fn run_session(node: &Arc<ReplNode>, sock: TcpStream, shared: &SessionShared) -> Result<()> {
-    let mut conn = FrameConn::new(sock, node.cfg.io_timeout)?;
-    let hello_body = conn.await_frame(
+    let mut conn = FrameConn::new(sock)?;
+    let hello = Hello::decode(&conn.recv(
         FrameKind::ReplHello,
-        Instant::now() + HANDSHAKE_TIMEOUT,
-        &|| node.shutdown.load(Ordering::SeqCst),
-    )?;
-    let hello = Hello::decode(&hello_body)?;
+        Some(Instant::now() + HANDSHAKE_TIMEOUT),
+    )?)?;
     let (resume, ack) = {
         let rs = node.role_state.lock();
         if rs.role != ReplRole::Primary {
@@ -823,54 +832,26 @@ fn run_session(node: &Arc<ReplNode>, sock: TcpStream, shared: &SessionShared) ->
         )
     };
     conn.send(FrameKind::ReplHelloAck, &ack.encode())?;
-    let stopping =
-        || node.shutdown.load(Ordering::SeqCst) || node.role_state.lock().role != ReplRole::Primary;
     let lag = node.server.metrics().registry().gauge("repl.lag_frames");
-    let mut cursor = resume;
+    let mut tail = node.engine.tail(resume)?;
+    let mut batch = Vec::new();
     loop {
-        if stopping() {
-            return Ok(());
-        }
-        let frames = node.engine.read_frames_after(cursor, node.cfg.batch_max)?;
-        if frames.is_empty() {
-            // Caught up: the read timeout paces the tail poll. Stray
-            // acks (e.g. for a batch acked after we timed out waiting)
-            // still advance the counter.
-            match conn.recv()? {
-                Received::Frame {
-                    kind: FrameKind::ReplAck,
-                    body,
-                } => {
-                    let a = Ack::decode(&body)?;
-                    shared.acked.fetch_max(a.durable_lsn, Ordering::AcqRel);
-                }
-                Received::Frame { kind, .. } => {
-                    return Err(net_err(
-                        "protocol",
-                        format!("unexpected {kind:?} from replica"),
-                    ))
-                }
-                Received::Idle => {}
-                Received::Closed => return Ok(()),
-            }
-            continue;
-        }
-        let last = frames[frames.len() - 1].0;
+        batch.clear();
+        let last = node.engine.read_tail(&mut tail, BATCH_MAX, &mut batch)?;
         // Stitch shipping into the trace of the write that staged the
         // newest frame in this batch (parked at WAL-append time).
         let ship_span =
             quaestor_obs::adopt_span(quaestor_obs::take_handoff_below(last), "repl.ship");
-        conn.send(FrameKind::ReplFrames, &encode_batch(&frames))?;
-        let ack_body = conn.await_frame(
+        // The log's own bytes: `ReplFrames` bodies are on-disk frames.
+        conn.send(FrameKind::ReplFrames, &batch)?;
+        let ack_body = conn.recv(
             FrameKind::ReplAck,
-            Instant::now() + SESSION_ACK_TIMEOUT,
-            &stopping,
+            Some(Instant::now() + SESSION_ACK_TIMEOUT),
         )?;
         drop(ship_span);
         let a = Ack::decode(&ack_body)?;
-        shared.acked.fetch_max(a.durable_lsn, Ordering::AcqRel);
+        node.note_ack(shared, a.durable_lsn);
         lag.set(last.saturating_sub(a.durable_lsn));
-        cursor = last;
     }
 }
 
@@ -880,76 +861,54 @@ fn run_session(node: &Arc<ReplNode>, sock: TcpStream, shared: &SessionShared) ->
 fn follower_loop(node: Weak<ReplNode>) {
     loop {
         let Some(n) = node.upgrade() else { return };
+        let (target, seen) = {
+            let link = n.follow_link.lock();
+            (link.target, link.cuts)
+        };
         if n.shutdown.load(Ordering::SeqCst) || n.role() == ReplRole::Primary {
             return;
         }
-        let backoff = n.cfg.reconnect_backoff;
-        let target = *n.follow_target.lock();
-        match follow_once(&n, target) {
+        match follow_once(&n, target, seen) {
             FollowExit::Stop => return,
-            FollowExit::Diverged => {
-                n.diverged.store(true, Ordering::Release);
-                return;
-            }
-            FollowExit::Retry => {
-                drop(n); // don't pin the node across the sleep
-                std::thread::sleep(backoff);
-            }
+            FollowExit::Retry => n.pause(seen, Instant::now() + n.cfg.reconnect_backoff),
         }
     }
 }
 
-fn follow_once(node: &Arc<ReplNode>, primary: SocketAddr) -> FollowExit {
-    let sock = match TcpStream::connect_timeout(&primary, CONNECT_TIMEOUT) {
-        Ok(s) => s,
-        Err(_) => return FollowExit::Retry,
-    };
-    let Ok(sock_clone) = sock.try_clone() else {
+/// One follower session against `primary`, unless a cut since `seen`
+/// (read together with `primary`) makes it stale before it starts.
+fn follow_once(node: &Arc<ReplNode>, primary: SocketAddr, seen: u64) -> FollowExit {
+    let Ok(conn) = FrameConn::connect(primary) else {
         return FollowExit::Retry;
     };
-    *node.follower_conn.lock() = Some(sock_clone);
-    let exit = run_follow(node, sock).unwrap_or(FollowExit::Retry);
-    *node.follower_conn.lock() = None;
+    let Ok(sock) = conn.sock.try_clone() else {
+        return FollowExit::Retry;
+    };
+    {
+        let mut link = node.follow_link.lock();
+        if link.cuts != seen {
+            return FollowExit::Retry;
+        }
+        link.sock = Some(sock);
+    }
+    let exit = run_follow(node, conn).unwrap_or(FollowExit::Retry);
+    node.follow_link.lock().sock = None;
     exit
 }
 
-fn run_follow(node: &Arc<ReplNode>, sock: TcpStream) -> Result<FollowExit> {
-    let mut conn = FrameConn::new(sock, node.cfg.io_timeout)?;
+fn run_follow(node: &Arc<ReplNode>, mut conn: FrameConn) -> Result<FollowExit> {
     let hello = Hello {
         epoch: node.role_state.lock().lineage.current_epoch(),
         last_lsn: node.engine.last_lsn(),
     };
-    conn.send(FrameKind::ReplHello, &hello.encode())?;
-    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-    let ack = loop {
-        if node.shutdown.load(Ordering::SeqCst) || node.role() == ReplRole::Primary {
-            return Ok(FollowExit::Stop);
-        }
-        match conn.recv()? {
-            Received::Frame {
-                kind: FrameKind::ReplHelloAck,
-                body,
-            } => break HelloAck::decode(&body)?,
-            Received::Frame { kind, .. } => {
-                return Err(net_err(
-                    "protocol",
-                    format!("expected ReplHelloAck, got {kind:?}"),
-                ))
-            }
-            Received::Idle => {
-                if Instant::now() >= deadline {
-                    return Err(net_err("timeout", "waiting for ReplHelloAck"));
-                }
-            }
-            Received::Closed => return Err(net_err("handshake", "primary closed")),
-        }
-    };
+    let ack = handshake(&mut conn, hello)?;
     if ack.resume_from < node.engine.last_lsn() {
         // Our live suffix sits on an abandoned timeline. Served state
         // already includes it and cannot be retracted in place — stop
         // following; rejoining goes through `open_replica`, which
         // truncates on disk before recovery.
-        return Ok(FollowExit::Diverged);
+        node.diverged.store(true, Ordering::Release);
+        return Ok(FollowExit::Stop);
     }
     {
         let mut rs = node.role_state.lock();
@@ -960,52 +919,36 @@ fn run_follow(node: &Arc<ReplNode>, sock: TcpStream) -> Result<FollowExit> {
     }
     store_lineage(&node.dir, &ack.lineage)?;
     loop {
-        if node.shutdown.load(Ordering::SeqCst) {
+        // No deadline: an idle primary ships nothing for as long as it
+        // likes; `kill`, `promote` and `refollow` cut the socket.
+        let body = conn.recv(FrameKind::ReplFrames, None)?;
+        if node.role() == ReplRole::Primary {
             return Ok(FollowExit::Stop);
         }
-        match conn.recv()? {
-            Received::Frame {
-                kind: FrameKind::ReplFrames,
-                body,
-            } => {
-                if node.role() == ReplRole::Primary {
-                    return Ok(FollowExit::Stop);
+        for (lsn, record) in decode_batch(&body)? {
+            // The LSN gate is the idempotency mechanism: a frame the log
+            // refuses (duplicate delivery, reconnection re-send) must not
+            // be applied either — version-keyed replay alone would
+            // resurrect a record whose delete came later. An
+            // out-of-order LSN (a gap) errors here, dropping the session;
+            // the reconnect handshake re-synchronizes.
+            if node.engine.append_replicated(lsn, &record)? {
+                #[cfg(test)]
+                if let Some(hook) = node.before_apply.get() {
+                    hook(lsn);
                 }
-                for (lsn, record) in decode_batch(&body)? {
-                    // The LSN gate is the idempotency mechanism: a frame
-                    // the log refuses (duplicate delivery, reconnection
-                    // re-send) must not be applied either —
-                    // version-keyed replay alone would resurrect a
-                    // record whose delete came later. An out-of-order
-                    // LSN (a gap) errors here, dropping the session;
-                    // the reconnect handshake re-synchronizes.
-                    if node.engine.append_replicated(lsn, &record)? {
-                        #[cfg(test)]
-                        if let Some(hook) = node.before_apply.get() {
-                            hook(lsn);
-                        }
-                        node.server.apply_replicated(&record)?;
-                        node.applied_lsn.fetch_max(lsn, Ordering::AcqRel);
-                    }
-                }
-                let durable = node.engine.flush()?;
-                conn.send(
-                    FrameKind::ReplAck,
-                    &Ack {
-                        durable_lsn: durable,
-                    }
-                    .encode(),
-                )?;
+                node.server.apply_replicated(&record)?;
+                node.applied_lsn.fetch_max(lsn, Ordering::AcqRel);
             }
-            Received::Frame { kind, .. } => {
-                return Err(net_err(
-                    "protocol",
-                    format!("unexpected {kind:?} from primary"),
-                ))
-            }
-            Received::Idle => {}
-            Received::Closed => return Err(net_err("session", "primary closed")),
         }
+        let durable = node.engine.flush()?;
+        conn.send(
+            FrameKind::ReplAck,
+            &Ack {
+                durable_lsn: durable,
+            }
+            .encode(),
+        )?;
     }
 }
 
@@ -1015,11 +958,12 @@ mod tests {
     use quaestor_common::scratch_dir;
     use quaestor_core::ServiceExt;
     use quaestor_document::doc;
-    use quaestor_durability::WalRecord;
+    use quaestor_durability::{FsyncPolicy, WalRecord};
+
+    use crate::protocol::encode_batch;
 
     fn cfg() -> ReplConfig {
         ReplConfig {
-            io_timeout: Duration::from_millis(10),
             reconnect_backoff: Duration::from_millis(20),
             ..ReplConfig::default()
         }
@@ -1185,14 +1129,9 @@ mod tests {
             // the follower's reconnect session.
             for session in 0..3 {
                 let (sock, _) = listener.accept().unwrap();
-                let mut conn = FrameConn::new(sock, Duration::from_millis(50)).unwrap();
-                let body = conn
-                    .await_frame(
-                        FrameKind::ReplHello,
-                        Instant::now() + HANDSHAKE_TIMEOUT,
-                        &|| false,
-                    )
-                    .unwrap();
+                let mut conn = FrameConn::new(sock).unwrap();
+                let deadline = || Some(Instant::now() + HANDSHAKE_TIMEOUT);
+                let body = conn.recv(FrameKind::ReplHello, deadline()).unwrap();
                 let hello = Hello::decode(&body).unwrap();
                 script_hellos.fetch_add(1, Ordering::SeqCst);
                 let ack = HelloAck {
@@ -1208,23 +1147,11 @@ mod tests {
                         // (duplicate delivery), then a gap (5 without 4).
                         conn.send(FrameKind::ReplFrames, &encode_batch(&frames(1..4)))
                             .unwrap();
-                        let a = conn
-                            .await_frame(
-                                FrameKind::ReplAck,
-                                Instant::now() + HANDSHAKE_TIMEOUT,
-                                &|| false,
-                            )
-                            .unwrap();
+                        let a = conn.recv(FrameKind::ReplAck, deadline()).unwrap();
                         assert_eq!(Ack::decode(&a).unwrap().durable_lsn, 3);
                         conn.send(FrameKind::ReplFrames, &encode_batch(&frames(1..4)))
                             .unwrap();
-                        let a = conn
-                            .await_frame(
-                                FrameKind::ReplAck,
-                                Instant::now() + HANDSHAKE_TIMEOUT,
-                                &|| false,
-                            )
-                            .unwrap();
+                        let a = conn.recv(FrameKind::ReplAck, deadline()).unwrap();
                         // Duplicates are refused by the LSN gate; the ack
                         // stands at 3 and nothing was re-applied.
                         assert_eq!(Ack::decode(&a).unwrap().durable_lsn, 3);
@@ -1239,13 +1166,7 @@ mod tests {
                         assert_eq!(hello.last_lsn, 3);
                         conn.send(FrameKind::ReplFrames, &encode_batch(&frames(4..6)))
                             .unwrap();
-                        let a = conn
-                            .await_frame(
-                                FrameKind::ReplAck,
-                                Instant::now() + HANDSHAKE_TIMEOUT,
-                                &|| false,
-                            )
-                            .unwrap();
+                        let a = conn.recv(FrameKind::ReplAck, deadline()).unwrap();
                         last_acked = Ack::decode(&a).unwrap().durable_lsn;
                     }
                 }
@@ -1364,6 +1285,133 @@ mod tests {
         assert!(!a.is_diverged());
         a.kill();
         b.kill();
+    }
+
+    /// A semi-sync write under `durability` must ack within a short
+    /// `ack_timeout`, though its frame would sit in the group-commit
+    /// buffer until more writes filled it.
+    fn semi_sync_acks_under(tag: &str, durability: DurabilityConfig) {
+        let node_cfg = ReplConfig {
+            durability,
+            ..cfg()
+        };
+        let primary = ReplNode::open_primary(
+            scratch_dir(&format!("repl-{tag}-p")),
+            ReplConfig {
+                ack_replicas: 1,
+                ack_timeout: Duration::from_secs(2),
+                ..node_cfg
+            },
+        )
+        .unwrap();
+        let replica = ReplNode::open_replica(
+            scratch_dir(&format!("repl-{tag}-r")),
+            primary.repl_addr(),
+            node_cfg,
+        )
+        .unwrap();
+        for i in 0..3 {
+            let id = format!("r{i}");
+            let started = Instant::now();
+            if let Err(e) = primary.insert("t", &id, doc! { "n" => i }) {
+                panic!("semi-sync write {i} under {durability:?} was not acked: {e}");
+            }
+            // Woken by the ack, not by the gate's deadline.
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_secs(1),
+                "semi-sync write {i} took {took:?}"
+            );
+            assert!(
+                replica.get_record("t", &id).is_ok(),
+                "acked implies shipped"
+            );
+        }
+        replica.kill();
+        primary.kill();
+    }
+
+    #[test]
+    fn semi_sync_write_acks_under_os_default_with_the_default_group_commit() {
+        semi_sync_acks_under(
+            "osdefault",
+            DurabilityConfig {
+                fsync: FsyncPolicy::OsDefault,
+                ..DurabilityConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    fn semi_sync_write_acks_under_every_n_with_a_group_of_64() {
+        semi_sync_acks_under(
+            "everyn",
+            DurabilityConfig {
+                fsync: FsyncPolicy::EveryN(8),
+                group_commit: 64,
+                ..DurabilityConfig::default()
+            },
+        );
+    }
+
+    /// `kill` returns within `bound`: run on a helper thread, so a wait
+    /// nothing wakes fails the test instead of hanging it.
+    fn kill_within(node: &Arc<ReplNode>, bound: Duration) {
+        let (done, killed) = std::sync::mpsc::channel();
+        let node = node.clone();
+        std::thread::spawn(move || {
+            node.kill();
+            let _ = done.send(());
+        });
+        assert!(
+            killed.recv_timeout(bound).is_ok(),
+            "kill did not return within {bound:?}"
+        );
+    }
+
+    /// `kill` wakes every wait: a caught-up session blocked on the log, a
+    /// semi-sync writer blocked on acks that cannot come, and a follower
+    /// in a long reconnect backoff.
+    #[test]
+    fn kill_wakes_every_wait() {
+        let primary = ReplNode::open_primary(
+            scratch_dir("repl-wake-p"),
+            ReplConfig {
+                ack_replicas: 2,
+                ack_timeout: Duration::from_secs(60),
+                ..cfg()
+            },
+        )
+        .unwrap();
+        let replica =
+            ReplNode::open_replica(scratch_dir("repl-wake-r"), primary.repl_addr(), cfg()).unwrap();
+        let writer = {
+            let primary = primary.clone();
+            std::thread::spawn(move || primary.insert("t", "a", doc! { "n" => 1 }))
+        };
+        wait_until("the replica to ack the write", || {
+            primary.server().get_record("t", "a").is_ok()
+                && primary.max_session_ack() == primary.status().last_lsn
+        });
+        kill_within(&primary, Duration::from_secs(5));
+        match writer.join().unwrap() {
+            Err(Error::Closed(_)) => {}
+            other => panic!("a killed node's semi-sync writer must see Closed: {other:?}"),
+        }
+        replica.kill();
+        // A follower whose primary is gone waits out its backoff; `kill`
+        // cuts it short.
+        let orphan = ReplNode::open_replica(
+            scratch_dir("repl-wake-o"),
+            "127.0.0.1:9".parse().unwrap(),
+            ReplConfig {
+                reconnect_backoff: Duration::from_secs(60),
+                ..cfg()
+            },
+        )
+        .unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        kill_within(&orphan, Duration::from_secs(5));
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! * [`HelloAck`] — primary → replica: the primary's epoch [`Lineage`]
 //!   and the LSN the replica must resume from (truncating anything above
 //!   it first if its epoch was stale).
-//! * `ReplFrames` bodies — a batch of durability WAL frames, packed by
-//!   [`encode_batch`] / unpacked by [`decode_batch`], in LSN order. The
-//!   inner framing is byte-identical to the on-disk WAL (`[len][crc]
-//!   [lsn][record]` per frame), so a replica persists exactly what the
-//!   primary logged.
+//! * `ReplFrames` bodies — a batch of durability WAL frames in LSN
+//!   order, byte-identical to the on-disk WAL (`[len][crc][lsn][record]`
+//!   per frame): the primary ships the bytes its log tail reads, and the
+//!   replica unpacks them with [`decode_batch`], so a replica persists
+//!   exactly what the primary logged.
 //! * [`Ack`] — replica → primary: the highest LSN now applied *and*
 //!   durable on the replica's own log.
 //!
@@ -24,7 +24,7 @@
 
 use quaestor_common::{Error, Result};
 use quaestor_durability::codec::{Reader, WalRecord, Writer};
-use quaestor_durability::frame::{encode_frame, read_frame, FrameRead};
+use quaestor_durability::frame::{read_frame, FrameRead};
 
 /// Ceiling on the number of `(epoch, start_lsn)` entries a [`HelloAck`]
 /// may carry. A lineage grows by one entry per failover; thousands of
@@ -216,8 +216,11 @@ impl Ack {
     }
 }
 
-/// Pack WAL frames into one `ReplFrames` body, in the given (LSN) order.
-pub fn encode_batch(frames: &[(u64, WalRecord)]) -> Vec<u8> {
+/// Pack WAL frames into one `ReplFrames` body, in the given (LSN) order
+/// (a primary ships its log's bytes instead; tests script batches).
+#[cfg(test)]
+pub(crate) fn encode_batch(frames: &[(u64, WalRecord)]) -> Vec<u8> {
+    use quaestor_durability::frame::encode_frame;
     let mut out = Vec::new();
     for (lsn, record) in frames {
         encode_frame(*lsn, record, &mut out);

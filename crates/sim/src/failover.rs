@@ -128,7 +128,6 @@ fn node_config() -> ReplConfig {
         // the primary's buffer.
         ack_replicas: 1,
         ack_timeout: Duration::from_secs(10),
-        io_timeout: Duration::from_millis(5),
         reconnect_backoff: Duration::from_millis(25),
         ..ReplConfig::default()
     }

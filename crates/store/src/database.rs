@@ -83,11 +83,6 @@ impl Database {
         *self.sink.write() = Some(sink);
     }
 
-    /// Detach the durability sink (writes stop being logged).
-    pub fn detach_sink(&self) {
-        *self.sink.write() = None;
-    }
-
     /// Create (or return the existing) table named `name`. Indexes
     /// declared for the name via [`declare_index`](Self::declare_index)
     /// are created with the table.
