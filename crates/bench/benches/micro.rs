@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the hot paths: Bloom probes, EBF maintenance,
 //! query normalization, predicate matching, LRU churn, store CRUD,
-//! encoding and decoding cached bodies, and the origin's query path.
+//! encoding and decoding cached bodies, frame checksums, and the origin's
+//! query path.
 
 use std::sync::Arc;
 
@@ -10,6 +11,7 @@ use quaestor_client::body::object_list_body;
 use quaestor_common::ManualClock;
 use quaestor_core::{IndexKind, QuaestorServer};
 use quaestor_document::{decode_value, doc, Update, Value};
+use quaestor_durability::frame::{crc32, crc32_bytewise};
 use quaestor_query::{matcher, Filter, Query, QueryKey};
 use quaestor_store::Database;
 use quaestor_webcache::LruCache;
@@ -139,17 +141,22 @@ fn store_benches(c: &mut Criterion) {
 
 /// A cached object-list body: the ten members of one `read-heavy` query
 /// result, as the origin encodes them and a cache-hit client decodes them.
-fn body_benches(c: &mut Criterion) {
-    let mut group = c.benchmark_group("body");
+/// The ten workload documents of a 10-member query result.
+fn ten_docs() -> Vec<Arc<quaestor_document::Document>> {
     let config = WorkloadConfig::default();
     let mut rng = StdRng::seed_from_u64(7);
-    let docs: Vec<_> = (0..10)
+    (0..10)
         .map(|i| {
             let mut d = config.make_doc(i, &mut rng);
             d.insert("_id".into(), Value::Str(WorkloadConfig::doc_id(i)));
             Arc::new(d)
         })
-        .collect();
+        .collect()
+}
+
+fn body_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("body");
+    let docs = ten_docs();
     let body = object_list_body(&docs);
     group.throughput(Throughput::Bytes(body.len() as u64));
     group.bench_function("encode_object_list_10", |b| {
@@ -157,6 +164,22 @@ fn body_benches(c: &mut Criterion) {
     });
     group.bench_function("decode_object_list_10", |b| {
         b.iter(|| decode_value(black_box(&body)).unwrap())
+    });
+    group.finish();
+}
+
+/// The CRC behind every WAL, net and snapshot frame, over the cached
+/// body of a 10-member query result: the slicing-by-8 kernel and the
+/// byte-at-a-time loop it replaced.
+fn frame_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("frame");
+    let body = object_list_body(&ten_docs());
+    group.throughput(Throughput::Bytes(body.len() as u64));
+    group.bench_with_input(BenchmarkId::new("crc32", "slicing8"), &body, |b, body| {
+        b.iter(|| crc32(black_box(body)))
+    });
+    group.bench_with_input(BenchmarkId::new("crc32", "bytewise"), &body, |b, body| {
+        b.iter(|| crc32_bytewise(black_box(body)))
     });
     group.finish();
 }
@@ -205,6 +228,7 @@ criterion_group!(
     lru_benches,
     store_benches,
     body_benches,
+    frame_benches,
     server_benches
 );
 criterion_main!(benches);

@@ -485,8 +485,36 @@ fn run_replication(scale: Scale, out: &std::path::Path) {
         ]);
     }
     t.print();
-    let json = replication_json(&rows, &commit);
+    println!("\n== Replication: a fresh replica catching up a loaded primary ==");
+    let catch_up = replication_catch_up(scale);
+    let mut t = TableWriter::new(&[
+        "docs",
+        "frames",
+        "wall (ms)",
+        "frames/s",
+        "batches",
+        "fsyncs",
+    ]);
+    t.row(vec![
+        catch_up.docs.to_string(),
+        catch_up.frames.to_string(),
+        format!("{:.1}", catch_up.wall_ms),
+        format!("{:.0}", catch_up.frames_per_sec()),
+        catch_up.batches.to_string(),
+        catch_up.fsyncs.to_string(),
+    ]);
+    t.print();
+    let json = replication_json(&rows, &commit, &catch_up);
     write_bench_json(out, "replication", &json);
+    // A replica group-commits each batch: more fsyncs than batches means
+    // it is paying for frames, not batches.
+    if catch_up.fsyncs > catch_up.batches {
+        eprintln!(
+            "replication: the replica fsynced {} times for {} batches",
+            catch_up.fsyncs, catch_up.batches
+        );
+        std::process::exit(1);
+    }
 }
 
 /// Client half of the C10k soak (`--c10k-client <addr> <conns>`):

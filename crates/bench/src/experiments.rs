@@ -1363,9 +1363,103 @@ pub fn replication_commit_latency(scale: Scale) -> Vec<CommitLatencyRow> {
     rows
 }
 
+/// A fresh replica catching up a loaded primary over the replication
+/// port.
+#[derive(Debug, Clone)]
+pub struct CatchUpRow {
+    /// Documents on the primary.
+    pub docs: usize,
+    /// WAL frames the replica caught up (the primary's whole log).
+    pub frames: u64,
+    /// From opening the replica until the primary holds its ack of the
+    /// primary's last LSN (ms).
+    pub wall_ms: f64,
+    /// `ReplFrames` batches the replica received (`repl.batches`).
+    pub batches: u64,
+    /// The replica's segment fsyncs (`durability.fsyncs`).
+    pub fsyncs: u64,
+}
+
+impl CatchUpRow {
+    /// Frames caught up per second of wall time.
+    pub fn frames_per_sec(&self) -> f64 {
+        self.frames as f64 / (self.wall_ms / 1e3).max(1e-9)
+    }
+}
+
+/// Catch-up: load a primary with workload documents (fsynced in large
+/// groups, untimed), open it as a `ReplNode` primary at the default
+/// `ReplConfig`, then time an empty replica from open until it has the
+/// whole log, and read its batch and fsync counters through
+/// `Request::Metrics`.
+pub fn replication_catch_up(scale: Scale) -> CatchUpRow {
+    use quaestor_core::{QuaestorServer, ServerConfig, ServiceExt};
+    use quaestor_durability::{DurabilityConfig, FsyncPolicy};
+    use quaestor_repl::{ReplConfig, ReplNode};
+    use rand::{rngs::StdRng, SeedableRng};
+    use std::time::{Duration, Instant};
+
+    let docs = match scale {
+        Scale::Quick => 2_000,
+        Scale::Full => 20_000,
+    };
+    let dir = bench_temp_dir("catch-up");
+    {
+        let loader = QuaestorServer::open_with(
+            dir.join("primary"),
+            ServerConfig::default(),
+            DurabilityConfig {
+                fsync: FsyncPolicy::EveryN(4_096),
+                group_commit: 4_096,
+                ..DurabilityConfig::default()
+            },
+            quaestor_common::SystemClock::shared(),
+        )
+        .expect("open loader");
+        let config = WorkloadConfig::default();
+        let mut rng = StdRng::seed_from_u64(7);
+        let table = loader.database().create_table("posts");
+        for i in 0..docs {
+            let doc = config.make_doc(i, &mut rng);
+            table.insert(&WorkloadConfig::doc_id(i), doc).expect("load");
+        }
+        loader.flush().expect("flush load");
+    }
+    let cfg = ReplConfig::default();
+    let primary = ReplNode::open_primary(dir.join("primary"), cfg).expect("open primary");
+    let frames = primary.status().last_lsn;
+    let started = Instant::now();
+    let replica = ReplNode::open_replica(dir.join("replica"), primary.repl_addr(), cfg)
+        .expect("open replica");
+    // Caught up once the primary holds the replica's ack of its last
+    // LSN: the replica sends that ack after it counted the batch.
+    let deadline = started + Duration::from_secs(60);
+    while primary.max_session_ack() < frames {
+        assert!(Instant::now() < deadline, "replica never caught up");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    let metrics = replica.node_metrics().expect("scrape replica");
+    let row = CatchUpRow {
+        docs,
+        frames,
+        wall_ms,
+        batches: metrics.counter("repl.batches").unwrap_or(0),
+        fsyncs: metrics.counter("durability.fsyncs").unwrap_or(0),
+    };
+    replica.kill();
+    primary.kill();
+    let _ = std::fs::remove_dir_all(&dir);
+    row
+}
+
 /// Render replication rows as the machine-readable
 /// `BENCH_replication.json` payload (hand-rolled like `matchidx_json`).
-pub fn replication_json(rows: &[ReplicationRow], commit: &[CommitLatencyRow]) -> String {
+pub fn replication_json(
+    rows: &[ReplicationRow],
+    commit: &[CommitLatencyRow],
+    catch_up: &CatchUpRow,
+) -> String {
     let mut out = String::from("{\n  \"experiment\": \"replication\",\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -1396,7 +1490,16 @@ pub fn replication_json(rows: &[ReplicationRow], commit: &[CommitLatencyRow]) ->
             if i + 1 == commit.len() { "" } else { "," }
         ));
     }
-    out.push_str("  ]\n}\n");
+    out.push_str(&format!(
+        "  ],\n  \"catch_up\": [\n    {{\"docs\": {}, \"frames\": {}, \"wall_ms\": {:.1}, \
+         \"frames_per_s\": {:.0}, \"batches\": {}, \"fsyncs\": {}}}\n  ]\n}}\n",
+        catch_up.docs,
+        catch_up.frames,
+        catch_up.wall_ms,
+        catch_up.frames_per_sec(),
+        catch_up.batches,
+        catch_up.fsyncs
+    ));
     out
 }
 
@@ -1444,7 +1547,14 @@ mod tests {
             p50_us: 412,
             p99_us: 1_250,
         }];
-        let json = replication_json(&rows, &commit);
+        let catch_up = CatchUpRow {
+            docs: 2_000,
+            frames: 2_001,
+            wall_ms: 50.0,
+            batches: 8,
+            fsyncs: 8,
+        };
+        let json = replication_json(&rows, &commit, &catch_up);
         assert!(json.contains("\"experiment\": \"replication\""));
         assert!(json.contains("\"achieved_rate\": 12346"));
         assert!(json.contains("\"mean_lag_frames\": 3.25"));
@@ -1453,6 +1563,12 @@ mod tests {
             "{\"mode\": \"semi-sync\", \"fsync\": \"OsDefault\", \"writes\": 200, \
              \"acked\": 200, \"p50_us\": 412, \"p99_us\": 1250}"
         ));
+        assert!(json.contains(
+            "{\"docs\": 2000, \"frames\": 2001, \"wall_ms\": 50.0, \"frames_per_s\": 40020, \
+             \"batches\": 8, \"fsyncs\": 8}"
+        ));
+        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid json");
+        assert!(parsed.as_object().unwrap().contains_key("catch_up"));
     }
 
     #[test]

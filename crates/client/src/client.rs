@@ -232,12 +232,6 @@ impl QuaestorClient {
         self.clock.now().since(inner.ebf_at)
     }
 
-    /// Force an EBF refresh (normally piggybacked automatically).
-    pub fn refresh_ebf(&self) -> Result<()> {
-        let mut inner = self.inner.lock();
-        self.refresh_ebf_locked(&mut inner)
-    }
-
     fn refresh_ebf_locked(&self, inner: &mut ClientInner) -> Result<()> {
         let (ebf, at) = self.service.fetch_ebf()?;
         inner.ebf = ebf;

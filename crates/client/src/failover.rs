@@ -6,24 +6,25 @@
 //!
 //! * **writes** (and other primary-only requests) to the endpoint it
 //!   believes is the primary;
-//! * **reads** round-robin across *all* endpoints, skipping dead ones, so
-//!   reads keep flowing while the primary is down. A replica's answer may
-//!   lag by its replication lag, which the EBF bounds exactly like any
-//!   other cache age — bounded staleness is the contract reads already
-//!   have.
+//! * **reads** round-robin across *all* endpoints, skipping dead ones
+//!   without waiting for them to come back, so reads keep flowing while
+//!   the primary is down. A replica's answer may lag by its replication
+//!   lag, which the EBF bounds exactly like any other cache age —
+//!   bounded staleness is the contract reads already have.
 //!
 //! ## Failover
 //!
 //! When a write fails in a way that implicates the primary (transport
 //! error, or the endpoint answers "not primary" because it was demoted),
 //! the router runs an election: it probes every endpoint's
-//! `ReplicationStatus`, and among the live ones picks the highest
-//! `(epoch, durable_lsn)` — the node that durably holds everything any
-//! acked write could have reached (with `ack_replicas >= 1` on the
-//! primary, that is *every* acked write). If no live node is already
-//! primary, the winner is promoted with an epoch one above the highest
-//! epoch observed, writes re-point to it, and the request is retried
-//! once. The deposed primary is fenced when it rejoins: it re-enters as a
+//! `ReplicationStatus` (an endpoint it cannot reach is counted dead at
+//! once, not waited for), and among the live replicas picks the highest
+//! `(epoch, last_lsn)` — a replica's log end is always fsynced, so that
+//! is the node that durably holds everything any acked write could have
+//! reached (with `ack_replicas >= 1` on the primary, that is *every*
+//! acked write). If no live node is already primary, the winner is
+//! promoted with an epoch one above the highest epoch observed, writes
+//! re-point to it, and the request is retried once. The deposed primary is fenced when it rejoins: it re-enters as a
 //! replica and its unreplicated WAL suffix is truncated by the handshake
 //! (see `quaestor-repl`'s `Lineage`).
 
@@ -50,6 +51,17 @@ fn primary_only(req: &Request) -> bool {
         req,
         Request::Flush | Request::Promote { .. } | Request::Subscribe { .. }
     )
+}
+
+/// An endpoint's replication status, failing at once if it cannot be
+/// reached: an election does not wait for a dead node to come back.
+fn probe(endpoint: &dyn Service) -> Result<ReplicationStatus> {
+    match endpoint.call_if_reachable(Request::ReplicationStatus)? {
+        Response::Replication(st) => Ok(st),
+        other => Err(Error::Net(format!(
+            "failover probe: expected a replication status, got {other:?}"
+        ))),
+    }
 }
 
 /// Did this error implicate the *endpoint* rather than the request?
@@ -157,17 +169,18 @@ impl ReplicatedService {
         Ok(st)
     }
 
-    /// Run the election: probe every endpoint, pick the live node with
-    /// the highest `(epoch, durable_lsn)`, promote it if it is not
-    /// already primary, and re-point writes. Returns the new primary's
-    /// endpoint index.
+    /// Run the election: probe every endpoint, pick the live primary
+    /// with the highest `(epoch, durable_lsn)` or, if there is none, the
+    /// live replica with the highest `(epoch, last_lsn)`, promote it if
+    /// it is not already primary, and re-point writes. Returns the new
+    /// primary's endpoint index.
     pub fn fail_over(&self) -> Result<usize> {
         let _one_at_a_time = self.election.lock();
         // An election that finished while we waited for the guard may
         // already have re-pointed writes: if the believed primary now
         // answers healthy, adopt it instead of electing again.
         let believed = self.route.lock().primary;
-        if let Ok(st) = self.endpoints[believed].replication_status() {
+        if let Ok(st) = probe(&*self.endpoints[believed]) {
             if st.role == ReplRole::Primary || st.role == ReplRole::Standalone {
                 return Ok(believed);
             }
@@ -176,10 +189,13 @@ impl ReplicatedService {
             .endpoints
             .iter()
             .enumerate()
-            .filter_map(|(i, ep)| ep.replication_status().ok().map(|st| (i, st)))
+            .filter_map(|(i, ep)| probe(&**ep).ok().map(|st| (i, st)))
             .collect();
         // An existing live primary wins outright — promoting a second one
-        // would fork the timeline.
+        // would fork the timeline. Replicas rank by their log's end, which
+        // is fsynced before any of it is applied: their `durable_lsn`
+        // also waits for the apply, and would rank a replica that is
+        // applying a batch below a shorter log.
         let winner = statuses
             .iter()
             .filter(|(_, st)| st.role == ReplRole::Primary || st.role == ReplRole::Standalone)
@@ -187,7 +203,7 @@ impl ReplicatedService {
             .or_else(|| {
                 statuses
                     .iter()
-                    .max_by_key(|(_, st)| (st.epoch, st.durable_lsn))
+                    .max_by_key(|(_, st)| (st.epoch, st.last_lsn))
             });
         let Some(&(index, st)) = winner else {
             return Err(Error::Net(
@@ -217,15 +233,22 @@ impl ReplicatedService {
     }
 
     /// Route a read: try every endpoint once, starting at the round-robin
-    /// cursor. Transport failures rotate to the next endpoint; an
-    /// application-level error is an answer and returns immediately.
+    /// cursor. Transport failures rotate to the next endpoint, and an
+    /// endpoint that cannot be reached is skipped without waiting for it
+    /// (only the last one tried may wait); an application-level error is
+    /// an answer and returns immediately.
     fn call_read(&self, req: Request) -> Result<Response> {
         let n = self.endpoints.len();
         let start = self.cursor.fetch_add(1, Ordering::Relaxed) as usize;
         let mut last_err = None;
         for k in 0..n {
-            let i = (start + k) % n;
-            match self.endpoints[i].call(req.clone()) {
+            let endpoint = &self.endpoints[(start + k) % n];
+            let reply = if k + 1 < n {
+                endpoint.call_if_reachable(req.clone())
+            } else {
+                endpoint.call(req.clone())
+            };
+            match reply {
                 Err(e) if implicates_endpoint(&e) => last_err = Some(e),
                 other => return other,
             }
@@ -249,16 +272,20 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
 
-    /// A scriptable endpoint: a role flag, a durable LSN, a liveness
-    /// switch, and counters for how it was used.
+    /// A scriptable endpoint: a role flag, a durable LSN (the log's end),
+    /// how many of its frames are not applied yet, a liveness switch, and
+    /// counters for how it was used.
     struct FakeNode {
         name: &'static str,
         role: Mutex<ReplRole>,
         epoch: AtomicU64,
         durable_lsn: AtomicU64,
+        unapplied: AtomicU64,
         alive: AtomicBool,
         writes: AtomicU64,
         reads: AtomicU64,
+        /// Calls that, dead, would wait out a reconnect backoff.
+        waited: AtomicU64,
     }
 
     impl FakeNode {
@@ -268,24 +295,34 @@ mod tests {
                 role: Mutex::new(role),
                 epoch: AtomicU64::new(epoch),
                 durable_lsn: AtomicU64::new(lsn),
+                unapplied: AtomicU64::new(0),
                 alive: AtomicBool::new(true),
                 writes: AtomicU64::new(0),
                 reads: AtomicU64::new(0),
+                waited: AtomicU64::new(0),
             })
         }
 
         fn status(&self) -> ReplicationStatus {
+            let lsn = self.durable_lsn.load(Ordering::SeqCst);
             ReplicationStatus {
                 role: *self.role.lock(),
                 epoch: self.epoch.load(Ordering::SeqCst),
-                last_lsn: self.durable_lsn.load(Ordering::SeqCst),
-                durable_lsn: self.durable_lsn.load(Ordering::SeqCst),
+                last_lsn: lsn,
+                durable_lsn: lsn - self.unapplied.load(Ordering::SeqCst),
             }
         }
     }
 
     impl Service for FakeNode {
         fn call(&self, req: Request) -> Result<Response> {
+            if !self.alive.load(Ordering::SeqCst) {
+                self.waited.fetch_add(1, Ordering::SeqCst);
+            }
+            self.call_if_reachable(req)
+        }
+
+        fn call_if_reachable(&self, req: Request) -> Result<Response> {
             if !self.alive.load(Ordering::SeqCst) {
                 return Err(Error::Net(format!("{}: connection refused", self.name)));
             }
@@ -388,6 +425,51 @@ mod tests {
         // Subsequent writes go straight to the new primary.
         router.call(insert(2)).unwrap();
         assert_eq!(ahead.writes.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn election_ranks_replicas_by_their_fsynced_log_end() {
+        let a = FakeNode::new("a", ReplRole::Primary, 1, 20);
+        let shorter = FakeNode::new("shorter", ReplRole::Replica, 1, 18);
+        let applying = FakeNode::new("applying", ReplRole::Replica, 1, 20);
+        // `applying` holds frames 1..=20 fsynced and serves up to 12.
+        applying.unapplied.store(8, Ordering::SeqCst);
+        let router =
+            ReplicatedService::new(vec![a.clone(), shorter.clone(), applying.clone()]).unwrap();
+        a.alive.store(false, Ordering::SeqCst);
+        router.call(insert(1)).unwrap();
+        assert_eq!(router.primary_index(), 2, "the longer log wins");
+        assert_eq!(*shorter.role.lock(), ReplRole::Replica);
+    }
+
+    #[test]
+    fn probes_and_reads_do_not_wait_for_a_dead_endpoint() {
+        let a = FakeNode::new("a", ReplRole::Primary, 1, 6);
+        let b = FakeNode::new("b", ReplRole::Replica, 1, 6);
+        let c = FakeNode::new("c", ReplRole::Replica, 1, 5);
+        let router = ReplicatedService::new(vec![a.clone(), b.clone(), c.clone()]).unwrap();
+        a.alive.store(false, Ordering::SeqCst);
+        // The write to the dead primary waits; its election's probes of
+        // `a` do not.
+        router.call(insert(1)).unwrap();
+        assert_eq!(router.primary_index(), 1);
+        assert_eq!(a.waited.load(Ordering::SeqCst), 1);
+        // Reads that start at `a` skip it at once.
+        for _ in 0..6 {
+            router.call(read()).unwrap();
+        }
+        assert_eq!(a.waited.load(Ordering::SeqCst), 1);
+        // With nowhere else to go, the last endpoint tried may wait.
+        b.alive.store(false, Ordering::SeqCst);
+        c.alive.store(false, Ordering::SeqCst);
+        assert!(router.call(read()).is_err());
+        assert_eq!(
+            [&a, &b, &c]
+                .iter()
+                .map(|n| n.waited.load(Ordering::SeqCst))
+                .sum::<u64>(),
+            2
+        );
     }
 
     #[test]

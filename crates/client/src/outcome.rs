@@ -32,11 +32,3 @@ pub struct QueryOutcome {
     /// Whether the EBF forced a revalidation of the query.
     pub revalidated: bool,
 }
-
-impl QueryOutcome {
-    /// Total round-trips this read cost beyond the first (id-list record
-    /// assembly).
-    pub fn extra_fetches(&self) -> usize {
-        self.record_fetches.len()
-    }
-}

@@ -189,9 +189,14 @@ pub struct ReplicationStatus {
     /// standalone node). Bumped by every promotion.
     pub epoch: u64,
     /// Highest LSN in the node's log (staged; not necessarily synced).
+    /// A replica stages and fsyncs each shipped batch under one lock, so
+    /// its log's end is always fsynced: for a replica this is the LSN it
+    /// durably holds, which is what an election ranks replicas by.
     pub last_lsn: u64,
-    /// Highest LSN fsynced to the node's own stable storage — the
-    /// election criterion.
+    /// Highest LSN fsynced to the node's own stable storage. A replica
+    /// reports the lower of that and its applied LSN, so a frame it does
+    /// not serve yet does not count; while it applies a batch this lags
+    /// `last_lsn`.
     pub durable_lsn: u64,
 }
 
@@ -265,11 +270,24 @@ fn unexpected(wanted: &str, got: &Response) -> Error {
 pub trait Service: Send + Sync {
     /// Handle one request.
     fn call(&self, req: Request) -> Result<Response>;
+
+    /// Like [`call`](Self::call), but a node that cannot be reached right
+    /// now fails the call at once instead of being waited for (no
+    /// reconnect backoff). For callers with somewhere else to go: a
+    /// replication router's election probes and read rotation. Defaults
+    /// to `call`.
+    fn call_if_reachable(&self, req: Request) -> Result<Response> {
+        self.call(req)
+    }
 }
 
 impl<S: Service + ?Sized> Service for Arc<S> {
     fn call(&self, req: Request) -> Result<Response> {
         (**self).call(req)
+    }
+
+    fn call_if_reachable(&self, req: Request) -> Result<Response> {
+        (**self).call_if_reachable(req)
     }
 }
 

@@ -84,6 +84,13 @@ impl QuaestorServer {
         clock: ClockRef,
         durability: Option<Arc<DurabilityEngine>>,
     ) -> QuaestorServer {
+        let metrics = ServerMetrics::new(db.query_stats());
+        if let Some(engine) = &durability {
+            let stats = engine.stats();
+            let registry = metrics.registry();
+            registry.bind_counter("durability.fsyncs", &stats.fsyncs);
+            registry.bind_counter("durability.frames_written", &stats.frames_written);
+        }
         QuaestorServer {
             ebf: PartitionedEbf::new(config.bloom, clock.clone()),
             estimator: TtlEstimator::new(config.estimator),
@@ -97,7 +104,7 @@ impl QuaestorServer {
             durability,
             replica: std::sync::atomic::AtomicBool::new(false),
             clock,
-            metrics: ServerMetrics::new(db.query_stats()),
+            metrics,
             config,
             db,
         }
@@ -977,17 +984,23 @@ mod tests {
 
     /// The frames above `after` in `engine`'s log, read the way a
     /// replication session reads them (a tail cursor's raw frames).
-    fn frames_after(engine: &DurabilityEngine, after: u64) -> Vec<(u64, WalRecord)> {
-        use quaestor_durability::frame::{read_frame, FrameRead};
+    fn frames_after(engine: &DurabilityEngine, after: u64) -> Vec<u8> {
         let mut tail = engine.tail(after).unwrap();
         let mut raw = Vec::new();
         engine.read_tail(&mut tail, usize::MAX, &mut raw).unwrap();
-        let mut frames = Vec::new();
-        while let FrameRead::Frame { lsn, record, size } = read_frame(&raw, 0) {
-            frames.push((lsn, record));
-            raw.drain(..size);
+        raw
+    }
+
+    /// Ship `batch` to a replica the way a replication session does:
+    /// append it to the replica's WAL, then apply what the log accepted.
+    /// Returns how many frames were accepted.
+    fn ship(batch: &[u8], dst: &DurabilityEngine, replica: &QuaestorServer) -> usize {
+        let frames = quaestor_durability::ShippedFrame::parse_batch(batch).unwrap();
+        let fresh = dst.append_replicated(&frames).unwrap();
+        for f in fresh {
+            replica.apply_replicated(&f.record).unwrap();
         }
-        frames
+        fresh.len()
     }
 
     fn open_durable(dir: &std::path::Path) -> Arc<QuaestorServer> {
@@ -1153,11 +1166,8 @@ mod tests {
         primary.delete("posts", "p2").unwrap();
         let src = primary.durability().unwrap();
         let dst = replica.durability().unwrap();
-        let frames = frames_after(src, 0);
-        for (lsn, record) in &frames {
-            assert!(dst.append_replicated(*lsn, record).unwrap());
-            replica.apply_replicated(record).unwrap();
-        }
+        let shipped = ship(&frames_after(src, 0), dst, &replica);
+        assert_eq!(shipped as u64, src.last_lsn());
         assert_eq!(dst.last_lsn(), src.last_lsn());
         assert_eq!(replica.get_record("posts", "p1").unwrap().etag, 1);
         assert!(replica.get_record("posts", "p2").is_err());
@@ -1175,10 +1185,7 @@ mod tests {
             .update("posts", "p1", &Update::new().push("tags", "fresh"))
             .unwrap();
         let after = src.last_lsn();
-        for (lsn, record) in frames_after(src, dst.last_lsn()) {
-            dst.append_replicated(lsn, &record).unwrap();
-            replica.apply_replicated(&record).unwrap();
-        }
+        ship(&frames_after(src, dst.last_lsn()), dst, &replica);
         assert_eq!(dst.last_lsn(), after);
         let (flat, _) = replica.ebf_snapshot();
         assert!(
@@ -1192,13 +1199,11 @@ mod tests {
         // replay alone is not enough: replaying an insert whose delete
         // came later would resurrect the record.)
         let before = replica.database().total_records();
-        for (lsn, record) in frames_after(src, 0) {
-            let fresh = dst.append_replicated(lsn, &record).unwrap();
-            assert!(!fresh, "lsn {lsn} must be a duplicate");
-            if fresh {
-                replica.apply_replicated(&record).unwrap();
-            }
-        }
+        assert_eq!(
+            ship(&frames_after(src, 0), dst, &replica),
+            0,
+            "every frame is a duplicate"
+        );
         assert_eq!(replica.database().total_records(), before);
 
         // Promotion attaches the sink: local writes log with continuing

@@ -93,16 +93,6 @@ impl Transaction {
             id: id.to_owned(),
         });
     }
-
-    /// Read set size.
-    pub fn read_set_len(&self) -> usize {
-        self.reads.len()
-    }
-
-    /// Write set size.
-    pub fn write_set_len(&self) -> usize {
-        self.writes.len()
-    }
 }
 
 /// The server-side commit lock: BOCC validates against a stable snapshot,

@@ -25,8 +25,9 @@ use quaestor_store::{Database, WriteEvent, WriteSink};
 
 use crate::codec::WalRecord;
 use crate::config::DurabilityConfig;
+use crate::frame::ShippedFrame;
 use crate::snapshot::{self, SnapshotData, SnapshotRecord, SnapshotTable};
-use crate::wal::{self, Wal, WalTail};
+use crate::wal::{self, Wal, WalStats, WalTail};
 
 /// Statistics of one recovery pass (reported, not interpreted).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -219,6 +220,8 @@ pub struct DurabilityEngine {
     dir: PathBuf,
     config: DurabilityConfig,
     state: Mutex<EngineState>,
+    /// The log's I/O counters (shared with the [`Wal`] they count).
+    stats: WalStats,
     /// Notified when frames are written out, and by `stop_tails`.
     written_out: Condvar,
     /// The held `LOCK` file; removed on drop so the directory can be
@@ -367,6 +370,7 @@ impl DurabilityEngine {
         let engine = Arc::new(DurabilityEngine {
             dir,
             config,
+            stats: wal.stats().clone(),
             state: Mutex::with_rank(
                 EngineState {
                     wal,
@@ -389,14 +393,10 @@ impl DurabilityEngine {
         Ok((engine, recovery))
     }
 
-    /// The durability directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &DurabilityConfig {
-        &self.config
+    /// The log's I/O counters: `durability.fsyncs` and
+    /// `durability.frames_written` in a durable server's registry.
+    pub fn stats(&self) -> &WalStats {
+        &self.stats
     }
 
     /// Highest LSN assigned so far.
@@ -460,57 +460,76 @@ impl DurabilityEngine {
         self.with_wal(|state| state.wal.write_out())
     }
 
-    /// Append a frame shipped from a replication primary, preserving its
-    /// LSN (possible because [`Wal`] assigns LSNs sequentially: applying
-    /// the primary's frames in order reproduces its numbering exactly).
-    /// Returns `Ok(false)` for a duplicate (`lsn` ≤ the log's last LSN —
-    /// reconnection re-sends are no-ops) and an error for a gap
-    /// (`lsn > last + 1`): frames must arrive in order.
-    pub fn append_replicated(&self, lsn: u64, record: &WalRecord) -> Result<bool> {
+    /// Append a batch shipped from a replication primary, group-committed:
+    /// run it through the LSN gate, stage every accepted frame byte for
+    /// byte, write them with one `write` and make them durable with one
+    /// fsync, whatever the [`FsyncPolicy`](crate::FsyncPolicy). Returns
+    /// the accepted frames, now durable, for the caller to apply in order.
+    ///
+    /// The gate keeps the primary's numbering exact: frames at or below
+    /// the log's last LSN are duplicates (reconnection re-sends) and are
+    /// refused; the rest must continue the log one LSN at a time. A gap
+    /// anywhere in the batch is an error, and then nothing is staged. A
+    /// failed write or fsync is an error too: the log then ends where it
+    /// was last fsynced and refuses further batches until it is reopened
+    /// (see [`Wal`]), so no frame of the batch is counted as held.
+    /// Staging and the fsync share one hold of the log's lock, so the
+    /// log's end as anyone reads it is always fsynced.
+    pub fn append_replicated<'b, 'f>(
+        &self,
+        frames: &'b [ShippedFrame<'f>],
+    ) -> Result<&'b [ShippedFrame<'f>]> {
         self.with_wal(|state| {
             let last = state.wal.last_lsn();
-            if lsn <= last {
-                return Ok(false);
+            let first = frames.iter().position(|f| f.lsn > last);
+            let fresh = &frames[first.unwrap_or(frames.len())..];
+            for (want, f) in (last + 1..).zip(fresh) {
+                if f.lsn != want {
+                    return Err(Error::Io(format!(
+                        "replication gap: got frame lsn {} where {want} was due, log ends at \
+                         {last}",
+                        f.lsn
+                    )));
+                }
             }
-            if lsn > last + 1 {
-                return Err(Error::Io(format!(
-                    "replication gap: got frame lsn {lsn}, log ends at {last}"
-                )));
+            if fresh.is_empty() {
+                return Ok(fresh);
             }
-            let assigned = state.wal.append(record)?;
-            if assigned != lsn {
-                return Err(Error::Io(format!(
-                    "replication lsn mismatch: wal assigned {assigned}, frame says {lsn}"
-                )));
+            for f in fresh {
+                state.wal.stage_frame(f.lsn, f.bytes);
             }
-            state.frames_since_snapshot += 1;
+            state.wal.flush()?;
+            state.frames_since_snapshot += fresh.len() as u64;
             // Mirror the same bookkeeping the primary's sink methods keep, so
             // a promoted replica snapshots the full query/tombstone state.
-            match record {
-                WalRecord::Write {
-                    table,
-                    id,
-                    kind: quaestor_store::WriteKind::Delete,
-                    at,
-                    ..
-                } => {
-                    state.tombstones.push((table.clone(), id.clone(), *at));
+            for f in fresh {
+                match &f.record {
+                    WalRecord::Write {
+                        table,
+                        id,
+                        kind: quaestor_store::WriteKind::Delete,
+                        at,
+                        ..
+                    } => {
+                        state.tombstones.push((table.clone(), id.clone(), *at));
+                    }
+                    WalRecord::RegisterQuery { query } => {
+                        state
+                            .queries
+                            .insert(QueryKey::of(query).as_str().to_owned(), query.clone());
+                    }
+                    WalRecord::DeregisterQuery { key } => {
+                        state.queries.remove(key);
+                    }
+                    _ => {}
                 }
-                WalRecord::RegisterQuery { query } => {
-                    state
-                        .queries
-                        .insert(QueryKey::of(query).as_str().to_owned(), query.clone());
-                }
-                WalRecord::DeregisterQuery { key } => {
-                    state.queries.remove(key);
-                }
-                _ => {}
             }
-            Ok(true)
+            Ok(fresh)
         })
     }
 
     /// Currently registered (durable) queries, in no particular order.
+    #[cfg(test)]
     pub fn registered_queries(&self) -> Vec<Query> {
         self.state.lock().queries.values().cloned().collect()
     }
@@ -983,42 +1002,51 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The bytes of every segment in `dir`'s log, in LSN order.
+    fn log_bytes(dir: &Path) -> Vec<u8> {
+        wal::list_segments(&dir.join("wal"))
+            .unwrap()
+            .iter()
+            .flat_map(|(_, path)| std::fs::read(path).unwrap())
+            .collect()
+    }
+
+    /// A primary's log: a create-table frame, six inserts and a delete.
+    fn primary_log(tag: &str) -> (PathBuf, Vec<u8>) {
+        let src = temp_dir(tag);
+        let (db, _e) = durable_db(&src, DurabilityConfig::default());
+        let t = db.create_table("posts");
+        for i in 0..6 {
+            t.insert(&format!("p{i}"), doc! { "n" => i }).unwrap();
+        }
+        t.delete("p0", None).unwrap();
+        let bytes = log_bytes(&src);
+        (src, bytes)
+    }
+
     #[test]
     fn append_replicated_preserves_lsns_and_rejects_gaps() {
-        let src = temp_dir("repl-src");
-        let dst = temp_dir("repl-dst");
         // A primary produces frames...
-        {
-            let (db, _e) = durable_db(&src, DurabilityConfig::default());
-            let t = db.create_table("posts");
-            for i in 0..6 {
-                t.insert(&format!("p{i}"), doc! { "n" => i }).unwrap();
-            }
-            t.delete("p0", None).unwrap();
-        }
-        let (src_engine, src_rec) =
-            DurabilityEngine::open(&src, DurabilityConfig::default()).unwrap();
-        drop(src_rec);
-        let frames = wal::scan(&src.join("wal"), 1).unwrap().frames;
+        let (src, bytes) = primary_log("repl-src");
+        let frames = ShippedFrame::parse_batch(&bytes).unwrap();
         assert_eq!(frames.len(), 8, "create-table + 6 inserts + 1 delete");
 
         // ...a replica appends them with LSNs preserved.
+        let dst = temp_dir("repl-dst");
         let (dst_engine, dst_rec) =
             DurabilityEngine::open(&dst, DurabilityConfig::default()).unwrap();
         drop(dst_rec);
         // Out-of-order first frame is a gap.
-        let (lsn3, rec3) = &frames[2];
-        let err = dst_engine.append_replicated(*lsn3, rec3).unwrap_err();
+        let err = dst_engine.append_replicated(&frames[2..3]).unwrap_err();
         assert!(err.to_string().contains("replication gap"), "got: {err}");
-        for (lsn, record) in &frames {
-            assert!(dst_engine.append_replicated(*lsn, record).unwrap());
-        }
+        assert_eq!(dst_engine.append_replicated(&frames).unwrap().len(), 8);
         // Duplicate delivery is a no-op, not an error.
-        for (lsn, record) in frames.iter().take(3) {
-            assert!(!dst_engine.append_replicated(*lsn, record).unwrap());
-        }
-        assert_eq!(dst_engine.last_lsn(), src_engine.last_lsn());
-        assert_eq!(dst_engine.durable_lsn(), src_engine.last_lsn());
+        assert!(dst_engine
+            .append_replicated(&frames[..3])
+            .unwrap()
+            .is_empty());
+        assert_eq!(dst_engine.last_lsn(), 8);
+        assert_eq!(dst_engine.durable_lsn(), 8);
         drop(dst_engine);
         // The replica's own recovery reproduces the primary's state.
         let (_, recovery) = DurabilityEngine::open(&dst, DurabilityConfig::default()).unwrap();
@@ -1028,6 +1056,144 @@ mod tests {
         assert_eq!(meta.tombstones, vec![("posts".into(), "p0".into())]);
         std::fs::remove_dir_all(&src).unwrap();
         std::fs::remove_dir_all(&dst).unwrap();
+    }
+
+    #[test]
+    fn replicated_batches_land_verbatim_with_one_fsync_each() {
+        let (src, bytes) = primary_log("verbatim-src");
+        let frames = ShippedFrame::parse_batch(&bytes).unwrap();
+        let dst = temp_dir("verbatim-dst");
+        // Under every policy: the replica's ack covers what it fsynced.
+        let lazy = DurabilityConfig {
+            fsync: crate::FsyncPolicy::OsDefault,
+            ..DurabilityConfig::default()
+        };
+        let (engine, _recovery) = DurabilityEngine::open(&dst, lazy).unwrap();
+        let stats = engine.stats();
+        for (batch, lsns) in [(&frames[..3], 3), (&frames[1..5], 5), (&frames[5..], 8)] {
+            engine.append_replicated(batch).unwrap();
+            assert_eq!(engine.durable_lsn(), lsns);
+        }
+        assert_eq!(stats.fsyncs.get(), 3, "one fsync per batch");
+        assert_eq!(stats.frames_written.get(), 8, "each frame once");
+        // Nothing new: neither a duplicate batch nor a flush syncs again.
+        engine.append_replicated(&frames[..2]).unwrap();
+        assert_eq!(engine.flush().unwrap(), 8);
+        assert_eq!(stats.fsyncs.get(), 3);
+        // The replica's log holds the primary's frames byte for byte.
+        assert_eq!(log_bytes(&dst), bytes);
+        drop(engine);
+        std::fs::remove_dir_all(&src).unwrap();
+        std::fs::remove_dir_all(&dst).unwrap();
+    }
+
+    #[test]
+    fn a_batch_with_a_gap_stages_none_of_its_frames() {
+        let (src, bytes) = primary_log("gap-src");
+        let frames = ShippedFrame::parse_batch(&bytes).unwrap();
+        let dst = temp_dir("gap-dst");
+        let (engine, _recovery) =
+            DurabilityEngine::open(&dst, DurabilityConfig::default()).unwrap();
+        engine.append_replicated(&frames[..3]).unwrap();
+        // Frames 4 and 5 continue the log, but 7 follows them without 6.
+        let gapped: Vec<&[u8]> = [3, 4, 6].iter().map(|&i| frames[i].bytes).collect();
+        let body = gapped.concat();
+        let err = engine
+            .append_replicated(&ShippedFrame::parse_batch(&body).unwrap())
+            .unwrap_err();
+        assert!(err.to_string().contains("replication gap"), "got: {err}");
+        assert_eq!(engine.last_lsn(), 3, "nothing staged");
+        assert_eq!(engine.flush().unwrap(), 3);
+        assert_eq!(engine.stats().frames_written.get(), 3, "nothing written");
+        // The next batch continues from where the log really ends.
+        assert_eq!(engine.append_replicated(&frames[3..]).unwrap().len(), 5);
+        assert_eq!(log_bytes(&dst), bytes);
+        drop(engine);
+        std::fs::remove_dir_all(&src).unwrap();
+        std::fs::remove_dir_all(&dst).unwrap();
+    }
+
+    #[test]
+    fn a_batch_whose_write_fails_counts_none_of_its_frames() {
+        let (src, bytes) = primary_log("failed-src");
+        let frames = ShippedFrame::parse_batch(&bytes).unwrap();
+        let dst = temp_dir("failed-dst");
+        {
+            let (engine, _recovery) =
+                DurabilityEngine::open(&dst, DurabilityConfig::default()).unwrap();
+            engine.append_replicated(&frames[..3]).unwrap();
+            engine.state.lock().wal.break_writes();
+            assert!(engine.append_replicated(&frames[3..]).is_err());
+            // A reconnect would resume after 3, so the primary re-ships
+            // the batch; the log refuses it until it is reopened.
+            assert_eq!((engine.last_lsn(), engine.durable_lsn()), (3, 3));
+            assert!(engine.append_replicated(&frames[3..]).is_err());
+            assert_eq!(engine.last_lsn(), 3);
+        }
+        let (engine, _recovery) =
+            DurabilityEngine::open(&dst, DurabilityConfig::default()).unwrap();
+        assert_eq!(engine.append_replicated(&frames[3..]).unwrap().len(), 5);
+        assert_eq!(log_bytes(&dst), bytes);
+        drop(engine);
+        std::fs::remove_dir_all(&src).unwrap();
+        std::fs::remove_dir_all(&dst).unwrap();
+    }
+
+    /// A segment the byte-at-a-time CRC wrote: a create-table frame, two
+    /// inserts, an update, a query registration, a delete, and a second
+    /// query registered and deregistered.
+    const BYTEWISE_CRC_SEGMENT: &[&str] = &[
+        "1200000039a1548801000000000000000205000000706f73747391000000d49885bc0200000000000000010500000070",
+        "6f7374730200000070310005000000030000005f696404020000007031050000006c696b657302030000000000000005",
+        "00000073636f726503000000000000044004000000746167730502000000040100000061040100000062050000007469",
+        "746c650403000000637263010000000000000001000000000000000000000000000000660000005721a41a0300000000",
+        "0000000105000000706f7374730200000070320003000000030000005f696404020000007032050000006c696b657302",
+        "0700000000000000050000007469746c65040300000077616c0100000000000000020000000000000000000000000000",
+        "0091000000cf1d58f504000000000000000105000000706f7374730200000070310105000000030000005f6964040200",
+        "00007031050000006c696b65730204000000000000000500000073636f72650300000000000004400400000074616773",
+        "0502000000040100000061040100000062050000007469746c6504030000006372630200000000000000030000000000",
+        "000000000000000000003200000098a866b405000000000000000305000000706f73747301050000007469746c650004",
+        "0300000077616c00000000000000000000000000660000000217da6906000000000000000105000000706f7374730200",
+        "000070320203000000030000005f696404020000007032050000006c696b657302070000000000000005000000746974",
+        "6c65040300000077616c0100000000000000040000000000000000000000000000003300000007a397bb070000000000",
+        "00000305000000706f73747301050000006c696b657302020100000000000000000000000000000000000000001e0000",
+        "0001f2473608000000000000000411000000713a706f7374733f6c696b657324677431",
+    ];
+
+    #[test]
+    fn a_segment_checksummed_a_byte_at_a_time_recovers() {
+        let dir = temp_dir("bytewise-seg");
+        let hex: String = BYTEWISE_CRC_SEGMENT.concat();
+        let bytes: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect();
+        std::fs::create_dir_all(dir.join("wal")).unwrap();
+        std::fs::write(dir.join("wal").join("seg-00000000000000000001.wal"), &bytes).unwrap();
+        let (engine, recovery) = DurabilityEngine::open(&dir, DurabilityConfig::default()).unwrap();
+        let db = Database::with_clock(ManualClock::new());
+        let meta = recovery.restore(&db).unwrap();
+        assert_eq!(meta.report.torn_tail_bytes, 0);
+        assert_eq!(meta.report.last_lsn, 8);
+        let t = db.table("posts").unwrap();
+        assert_eq!(t.len(), 1);
+        let p1 = t.get("p1").unwrap();
+        assert_eq!(p1.version, 2);
+        assert_eq!(p1.doc["likes"], quaestor_document::Value::Int(4));
+        assert_eq!(
+            meta.queries,
+            vec![Query::table("posts").filter(Filter::eq("title", "wal"))]
+        );
+        assert_eq!(meta.tombstones, vec![("posts".into(), "p2".into())]);
+        // The log continues from it with frames checksummed eight bytes at
+        // a time, and reads back whole.
+        db.attach_sink(engine.clone());
+        t.insert("p3", doc! { "n" => 3 }).unwrap();
+        drop((db, engine));
+        let scan = wal::scan(&dir.join("wal"), 1).unwrap();
+        assert_eq!(scan.next_lsn, 10);
+        assert_eq!(scan.truncated_bytes, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -23,19 +23,49 @@ use crate::codec::{Reader, WalRecord, Writer};
 /// allocation a corrupt length prefix can trigger.
 pub const MAX_FRAME_PAYLOAD: u32 = 64 << 20;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte table, and
+/// `CRC_TABLES[k][b]` is the CRC state after byte `b` is followed by `k`
+/// zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), eight bytes per
+/// step (slicing-by-8): one kernel for WAL frames, net frames and
+/// snapshots.
 pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc_table();
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        let idx = ((crc ^ b as u32) & 0xFF) as usize;
-        crc = (crc >> 8) ^ TABLE[idx];
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The same CRC one byte at a time: the oracle [`crc32`] is tested
+/// against.
+#[cfg(any(test, feature = "oracle"))]
+pub fn crc32_bytewise(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    !crc
+}
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -48,10 +78,20 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Encode `(lsn, record)` as one framed byte run, appended to `out`.
@@ -108,6 +148,40 @@ pub fn read_frame(buf: &[u8], offset: usize) -> FrameRead {
     }
 }
 
+/// One frame of a batch shipped from a replication primary, its CRC
+/// checked: its LSN, its record (to apply) and its bytes as the primary's
+/// log holds them (to append).
+#[derive(Debug)]
+pub struct ShippedFrame<'a> {
+    /// Log sequence number carried by the frame.
+    pub lsn: u64,
+    /// The decoded record.
+    pub record: WalRecord,
+    /// The whole frame, header included.
+    pub bytes: &'a [u8],
+}
+
+impl<'a> ShippedFrame<'a> {
+    /// Check and decode every frame of `batch` (a run of frames, as a
+    /// replication batch carries them); the first frame that does not
+    /// check fails the whole batch.
+    pub fn parse_batch(batch: &'a [u8]) -> Result<Vec<ShippedFrame<'a>>, String> {
+        let mut out = Vec::new();
+        let mut offset = 0;
+        loop {
+            match read_frame(batch, offset) {
+                FrameRead::Frame { lsn, record, size } => {
+                    let bytes = &batch[offset..offset + size];
+                    out.push(ShippedFrame { lsn, record, bytes });
+                    offset += size;
+                }
+                FrameRead::Eof => return Ok(out),
+                FrameRead::BadTail(reason) => return Err(reason),
+            }
+        }
+    }
+}
+
 /// The LSN and on-disk size of the frame at the start of `rest` when it
 /// is complete and its CRC holds, without decoding its record (the
 /// replication tail ships frames as they are); `None` otherwise.
@@ -159,6 +233,7 @@ fn le_u32(b: &[u8], at: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rec(table: &str) -> WalRecord {
         WalRecord::CreateTable {
@@ -170,7 +245,24 @@ mod tests {
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The kernel equals the byte loop on every length up to 4 KiB,
+        /// whatever the start of the slice is modulo 8.
+        #[test]
+        fn crc32_kernel_equals_the_byte_loop(
+            bytes in proptest::collection::vec(any::<u8>(), 4_104),
+            len in 0..=4_096usize,
+        ) {
+            for start in 0..8 {
+                let data = &bytes[start..start + len];
+                prop_assert_eq!(crc32(data), crc32_bytewise(data));
+            }
+        }
     }
 
     #[test]

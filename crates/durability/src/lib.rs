@@ -38,4 +38,5 @@ pub mod wal;
 pub use codec::WalRecord;
 pub use config::{DurabilityConfig, FsyncPolicy};
 pub use engine::{truncate_above, DurabilityEngine, RecoveredMeta, Recovery, RecoveryReport};
+pub use frame::ShippedFrame;
 pub use snapshot::{SnapshotData, SnapshotRecord, SnapshotTable};

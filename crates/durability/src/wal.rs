@@ -13,12 +13,15 @@
 //! corruption and surfaces as an error, never as silent data loss.
 //!
 //! A live log is read by [`WalTail`], which hands back frames as written.
+//! A replica stages the frames its primary shipped as they are
+//! ([`Wal::stage_frame`]), so its segments hold the primary's bytes.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 use quaestor_common::{Error, Result};
+use quaestor_obs::Counter;
 
 use crate::codec::WalRecord;
 use crate::config::{DurabilityConfig, FsyncPolicy};
@@ -323,6 +326,16 @@ pub fn truncate_above(dir: &Path, lsn: u64) -> Result<u64> {
     Ok(dropped)
 }
 
+/// Counters of a log's own I/O. A durable server binds them into its
+/// registry as `durability.fsyncs` and `durability.frames_written`.
+#[derive(Debug, Clone, Default)]
+pub struct WalStats {
+    /// Fsyncs of segment data (directory fsyncs are not counted).
+    pub fsyncs: Counter,
+    /// Frames written out to segment files.
+    pub frames_written: Counter,
+}
+
 /// The segmented WAL writer.
 pub struct Wal {
     dir: PathBuf,
@@ -345,6 +358,14 @@ pub struct Wal {
     /// when another committer's fsync already covered the caller's LSN —
     /// that observation *is* the group commit.
     durable_lsn: u64,
+    /// Set when a write or fsync of a segment failed. What the segment
+    /// holds past `durable_lsn` is then unknown (a write may have landed
+    /// in part, a failed fsync may have dropped pages), so the log keeps
+    /// only `durable_lsn` as its end and refuses every later write:
+    /// nothing it cannot vouch for is read, shipped or counted. Reopening
+    /// recovers what the segments really hold.
+    failed: bool,
+    stats: WalStats,
 }
 
 impl std::fmt::Debug for Wal {
@@ -383,6 +404,16 @@ impl Wal {
             // into a file whose dir entry is lost are frames lost.
             fsync_dir(dir)?;
         }
+        let stats = WalStats::default();
+        if segment_bytes > 0 {
+            // A writer that crashed may have left frames written but not
+            // fsynced; recovery read them back, so make them durable
+            // before `durable_lsn` says they are. (Older segments were
+            // synced when the log rotated past them.)
+            file.sync_data()
+                .map_err(|e| io_err("fsync reopened segment", e))?;
+            stats.fsyncs.inc();
+        }
         Ok(Wal {
             dir: dir.to_path_buf(),
             config,
@@ -394,7 +425,14 @@ impl Wal {
             unsynced_frames: 0,
             written_lsn: next_lsn - 1,
             durable_lsn: next_lsn - 1,
+            failed: false,
+            stats,
         })
+    }
+
+    /// This log's I/O counters.
+    pub fn stats(&self) -> &WalStats {
+        &self.stats
     }
 
     /// Stage one record into the group-commit buffer; returns its LSN.
@@ -403,11 +441,22 @@ impl Wal {
     /// inside a critical section (preserving ordering) and pay for I/O
     /// outside it.
     pub fn stage(&mut self, record: &WalRecord) -> Result<u64> {
+        self.check_usable()?;
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         encode_frame(lsn, record, &mut self.buffer);
         self.buffered_frames += 1;
         Ok(lsn)
+    }
+
+    /// Stage one already-encoded frame, byte for byte (a frame shipped
+    /// by a replication primary, whose CRC and LSN the caller checked:
+    /// the LSN is the next one this log assigns).
+    pub fn stage_frame(&mut self, lsn: u64, frame: &[u8]) {
+        debug_assert_eq!(lsn, self.next_lsn, "staged frame out of order");
+        self.next_lsn += 1;
+        self.buffer.extend_from_slice(frame);
+        self.buffered_frames += 1;
     }
 
     /// Make the staged `lsn` as durable as the [`FsyncPolicy`] promises.
@@ -458,6 +507,7 @@ impl Wal {
     /// Write the group-commit buffer to the active segment, rotating
     /// first if the segment is full.
     fn write_buffer(&mut self) -> Result<()> {
+        self.check_usable()?;
         if self.buffer.is_empty() {
             return Ok(());
         }
@@ -466,11 +516,12 @@ impl Wal {
             // will hold — the oldest frame in the buffer.
             self.rotate(self.next_lsn - self.buffered_frames as u64)?;
         }
-        self.file
-            .write_all(&self.buffer)
-            .map_err(|e| io_err("append to segment", e))?;
+        if let Err(e) = self.file.write_all(&self.buffer) {
+            return Err(self.fail(io_err("append to segment", e)));
+        }
         self.segment_bytes += self.buffer.len() as u64;
         self.unsynced_frames += self.buffered_frames;
+        self.stats.frames_written.add(self.buffered_frames as u64);
         self.buffer.clear();
         self.buffered_frames = 0;
         // The buffer always ends at the most recently staged LSN.
@@ -479,19 +530,47 @@ impl Wal {
     }
 
     fn sync(&mut self) -> Result<()> {
-        self.file
-            .sync_data()
-            .map_err(|e| io_err("fsync segment", e))?;
+        self.check_usable()?;
+        if let Err(e) = self.file.sync_data() {
+            return Err(self.fail(io_err("fsync segment", e)));
+        }
+        self.stats.fsyncs.inc();
         self.unsynced_frames = 0;
         self.durable_lsn = self.written_lsn;
         Ok(())
     }
 
-    /// Flush the group-commit buffer and fsync regardless of policy.
-    /// Returns the highest LSN now durable on disk.
+    /// Mark the log failed (see `failed`): drop what was staged or
+    /// written since the last fsync, so its end reads `durable_lsn`.
+    fn fail(&mut self, e: Error) -> Error {
+        self.failed = true;
+        self.buffer.clear();
+        self.buffered_frames = 0;
+        self.unsynced_frames = 0;
+        self.next_lsn = self.durable_lsn + 1;
+        self.written_lsn = self.durable_lsn;
+        e
+    }
+
+    /// Refuse to go on once a write or fsync failed, dropping anything
+    /// staged since.
+    fn check_usable(&mut self) -> Result<()> {
+        if !self.failed {
+            return Ok(());
+        }
+        Err(self.fail(Error::Io(
+            "wal: an earlier write or fsync failed; reopen the log to recover it".into(),
+        )))
+    }
+
+    /// Flush the group-commit buffer and fsync regardless of policy;
+    /// no fsync when nothing was written since the last one. Returns the
+    /// highest LSN now durable on disk.
     pub fn flush(&mut self) -> Result<u64> {
         self.write_buffer()?;
-        self.sync()?;
+        if self.written_lsn > self.durable_lsn {
+            self.sync()?;
+        }
         Ok(self.durable_lsn)
     }
 
@@ -518,13 +597,12 @@ impl Wal {
     }
 
     /// Rotate to a fresh segment starting at `first_lsn`. The old segment
-    /// is synced first so rotation never widens the loss window.
+    /// is synced first (when it holds unsynced frames) so rotation never
+    /// widens the loss window.
     fn rotate(&mut self, first_lsn: u64) -> Result<()> {
-        self.file
-            .sync_data()
-            .map_err(|e| io_err("fsync before rotate", e))?;
-        self.unsynced_frames = 0;
-        self.durable_lsn = self.written_lsn;
+        if self.written_lsn > self.durable_lsn {
+            self.sync()?;
+        }
         let path = self.dir.join(segment_name(first_lsn));
         self.file = OpenOptions::new()
             .create(true)
@@ -534,6 +612,14 @@ impl Wal {
         fsync_dir(&self.dir)?;
         self.segment_bytes = 0;
         Ok(())
+    }
+
+    /// Make every later write to the active segment fail, as a failing
+    /// disk would: the handle becomes the log directory, opened
+    /// read-only.
+    #[cfg(test)]
+    pub(crate) fn break_writes(&mut self) {
+        self.file = File::open(&self.dir).unwrap();
     }
 
     /// Delete every segment whose frames all have LSN ≤ `keep_lsn`: a
@@ -582,6 +668,56 @@ mod tests {
         assert_eq!(scan.frames.len(), 10);
         assert_eq!(scan.next_lsn, 11);
         assert_eq!(scan.truncated_bytes, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reopening_fsyncs_what_a_crashed_writer_left_unsynced() {
+        let dir = temp_dir("reopen-sync");
+        let lazy = DurabilityConfig {
+            fsync: FsyncPolicy::OsDefault,
+            group_commit: 1,
+            ..DurabilityConfig::default()
+        };
+        let mut wal = Wal::open(&dir, lazy, 1).unwrap();
+        assert_eq!(wal.stats().fsyncs.get(), 0, "an empty segment needs none");
+        for i in 0..3 {
+            wal.append(&rec(i)).unwrap();
+        }
+        assert_eq!(wal.written(), 3);
+        assert_eq!(wal.stats().fsyncs.get(), 0, "written out, never fsynced");
+        drop(wal); // the crash model
+        let next_lsn = scan(&dir, 1).unwrap().next_lsn;
+        let mut wal = Wal::open(&dir, lazy, next_lsn).unwrap();
+        assert_eq!(
+            wal.stats().fsyncs.get(),
+            1,
+            "the reopened segment is synced"
+        );
+        assert_eq!(wal.flush().unwrap(), 3);
+        assert_eq!(wal.stats().fsyncs.get(), 1, "and nothing is left to flush");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_write_leaves_the_log_at_its_durable_end_and_refuses_more() {
+        let dir = temp_dir("failed-write");
+        let mut wal = Wal::open(&dir, DurabilityConfig::default(), 1).unwrap();
+        for i in 0..3 {
+            wal.append(&rec(i)).unwrap();
+        }
+        wal.break_writes();
+        assert!(wal.append(&rec(3)).is_err());
+        assert_eq!((wal.last_lsn(), wal.written(), wal.durable()), (3, 3, 3));
+        assert!(wal.stage(&rec(3)).is_err());
+        assert!(wal.flush().is_err());
+        assert_eq!(wal.last_lsn(), 3);
+        drop(wal);
+        // Reopening recovers what the segment holds, and the log goes on.
+        let next_lsn = scan(&dir, 1).unwrap().next_lsn;
+        assert_eq!(next_lsn, 4);
+        let mut wal = Wal::open(&dir, DurabilityConfig::default(), next_lsn).unwrap();
+        assert_eq!(wal.append(&rec(3)).unwrap(), 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

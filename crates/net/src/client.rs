@@ -24,7 +24,8 @@
 //! * **Failure** — connect/read/write errors, timeouts, and servers that
 //!   die mid-request all surface as [`Error::Net`]; a dead connection is
 //!   re-established lazily with exponential backoff on the next call
-//!   that lands on its pool slot. A connection the server closed while
+//!   that lands on its pool slot (`call_if_reachable` makes one connect
+//!   attempt and fails at once). A connection the server closed while
 //!   idle is found dead by a non-blocking peek before the next request
 //!   is written, so that request reconnects. A caller whose request may
 //!   have reached the wire is *never* silently retried — writes are not
@@ -790,8 +791,9 @@ impl RemoteService {
     }
 
     /// Round-robin to a live connection, reconnecting its slot with
-    /// exponential backoff while the deadline allows. The flag is true
-    /// if this call opened the connection.
+    /// exponential backoff while the deadline allows (or, unless `wait`,
+    /// with one connect attempt). The flag is true if this call opened
+    /// the connection.
     ///
     /// The slot mutex is held only for the check-and-install moments,
     /// never across a connect attempt or a backoff sleep — callers that
@@ -799,7 +801,7 @@ impl RemoteService {
     /// never stalls behind a retry loop). If two callers race to
     /// repopulate a slot, the loser's connection is torn down and the
     /// winner's is shared.
-    fn get_conn(&self, deadline: Instant) -> Result<(Arc<Conn>, bool)> {
+    fn get_conn(&self, deadline: Instant, wait: bool) -> Result<(Arc<Conn>, bool)> {
         let idx = self.next_slot.fetch_add(1, Ordering::Relaxed) % self.slots.len();
         let slot = &self.slots[idx];
         let mut backoff = self.config.reconnect_backoff;
@@ -831,7 +833,7 @@ impl RemoteService {
                 }
                 Err(e) => {
                     let delay = self.jittered(backoff);
-                    if Instant::now() + delay >= deadline {
+                    if !wait || Instant::now() + delay >= deadline {
                         return Err(e);
                     }
                     std::thread::sleep(delay);
@@ -875,9 +877,10 @@ impl RemoteService {
         request_id: u64,
         subscribe: bool,
         deadline: Instant,
+        wait: bool,
     ) -> Result<Sent> {
         loop {
-            let (conn, fresh) = self.get_conn(deadline)?;
+            let (conn, fresh) = self.get_conn(deadline, wait)?;
             if subscribe {
                 // Pushes may follow the answer while no call is in flight.
                 conn.start_stream_reader()?;
@@ -937,6 +940,20 @@ impl Drop for RemoteService {
 
 impl Service for RemoteService {
     fn call(&self, req: Request) -> Result<Response> {
+        self.call_with(req, true)
+    }
+
+    /// One connect attempt, no backoff: a refused or timed-out connect
+    /// fails the call at once.
+    fn call_if_reachable(&self, req: Request) -> Result<Response> {
+        self.call_with(req, false)
+    }
+}
+
+impl RemoteService {
+    /// One request; `wait` lets a dead connection reconnect with backoff
+    /// until the request deadline.
+    fn call_with(&self, req: Request, wait: bool) -> Result<Response> {
         let deadline = Instant::now() + self.config.request_timeout;
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
 
@@ -960,7 +977,7 @@ impl Service for RemoteService {
                 wire::MAX_FRAME_PAYLOAD
             )));
         }
-        let sent = self.send(&frame, request_id, subscribe, deadline);
+        let sent = self.send(&frame, request_id, subscribe, deadline, wait);
         if frame.capacity() <= KEPT_FRAME_CAPACITY {
             FRAME.with(|kept| kept.replace(frame));
         }

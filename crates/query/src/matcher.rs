@@ -21,11 +21,6 @@ pub fn matches(filter: &Filter, doc: &Document) -> bool {
     }
 }
 
-/// Match a full [`Query`]'s filter (table routing is the caller's job).
-pub fn query_matches(query: &Query, doc: &Document) -> bool {
-    matches(&query.filter, doc)
-}
-
 /// Resolve a (possibly dotted) path against a document, with the same
 /// traversal rules the operators use. Exposed so InvaliDB's predicate
 /// index can derive candidate values from an after-image.

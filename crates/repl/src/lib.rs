@@ -9,15 +9,17 @@
 //! * the **primary** tails its own write-ahead log and ships frames to
 //!   each replica over `quaestor-net` framing (one batch in flight per
 //!   session, advancing on durable acks);
-//! * a **replica** appends shipped frames to its own WAL through an LSN
-//!   gate (duplicates and reconnection re-sends are refused, hence
-//!   never applied), replays them into served state through the same
-//!   version-keyed path crash recovery uses, fsyncs, and acks;
+//! * a **replica** appends each shipped batch to its own WAL through an
+//!   LSN gate (duplicates and reconnection re-sends are refused, hence
+//!   never applied) with one write and one fsync, then replays it into
+//!   served state through the same version-keyed path crash recovery
+//!   uses, and acks;
 //! * replicas serve reads as full [`Service`](quaestor_core::Service)
 //!   endpoints and reject writes with a recognizable error, so a client
 //!   router can fail over;
-//! * **failover** elects the live node with the highest
-//!   `(epoch, durable_lsn)`, promotes it, and fences the old primary:
+//! * **failover** elects the live replica with the highest
+//!   `(epoch, last_lsn)` (a replica's log end is always fsynced),
+//!   promotes it, and fences the old primary:
 //!   its unreplicated WAL suffix is truncated when it rejoins as a
 //!   replica (see [`protocol::Lineage`]).
 //!

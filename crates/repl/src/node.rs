@@ -14,16 +14,21 @@
 //!   advancing on the replica's durable ack.
 //! * **Replica** ([`ReplNode::open_replica`]) — serves reads (rejecting
 //!   writes with a recognizable `BadRequest`), while a follower thread
-//!   replays shipped frames: append to its own WAL through the
-//!   LSN-gated `append_replicated`, apply to served state through
-//!   `apply_replicated`, fsync, ack. The LSN gate is what makes
-//!   duplicate delivery and reconnection re-sends no-ops — a frame the
-//!   log refuses is not applied either.
+//!   group-commits each shipped batch: check every frame's CRC, run the
+//!   batch through the LSN gate of `append_replicated`, which stages the
+//!   accepted frames byte for byte and writes them with one `write` and
+//!   one fsync, then apply them to served state through
+//!   `apply_replicated`, then ack. The LSN gate is what makes duplicate
+//!   delivery and reconnection re-sends no-ops — a frame the log refuses
+//!   is not applied either — and a batch with a gap or a bad frame is
+//!   refused whole, before any of it is staged.
 //!
 //! Replica lag is cache age: a replica's state is exactly the primary's
 //! state as of `durable_lsn` (a replica reports the lower of its durable
-//! and its applied LSN, so a frame fsynced but not yet applied does not
-//! count), so the paper's Expiring Bloom Filter bound
+//! and its applied LSN, so a batch fsynced but not yet applied does not
+//! count; an election ranks replicas by `last_lsn` instead, the log's
+//! end, which the follower fsyncs before anyone can read it), so the
+//! paper's Expiring Bloom Filter bound
 //! governs replica-read staleness verbatim — stale reads are *bounded*,
 //! not prevented, which is the same contract every web cache in the
 //! system already has.
@@ -277,7 +282,8 @@ pub struct ReplNode {
     /// Highest LSN applied to served state: the recovered log at open,
     /// then every frame the follower applies.
     applied_lsn: AtomicU64,
-    /// Runs between appending a replicated frame and applying it.
+    /// Runs after a replicated batch is durable, before each of its
+    /// frames is applied.
     #[cfg(test)]
     before_apply: OnceLock<Box<dyn Fn(u64) + Send + Sync>>,
 }
@@ -498,11 +504,6 @@ impl ReplNode {
         &self.server
     }
 
-    /// The node's durability directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// This node's current role.
     pub fn role(&self) -> ReplRole {
         self.role_state.lock().role
@@ -522,7 +523,7 @@ impl ReplNode {
         };
         let mut durable_lsn = self.engine.durable_lsn();
         if role == ReplRole::Replica {
-            // The follower makes a frame durable before it applies it.
+            // The follower makes a batch durable before it applies it.
             durable_lsn = durable_lsn.min(self.applied_lsn.load(Ordering::Acquire));
         }
         ReplicationStatus {
@@ -603,10 +604,18 @@ impl ReplNode {
         }
     }
 
-    /// Abrupt stop: tear down the client endpoint, the replication
-    /// listener, every session, and the follower. Served and durable
-    /// state is left exactly as-is (this is the simulator's crash
-    /// model); the directory can be re-opened afterwards.
+    /// Abrupt stop: tear down the replication listener, every session,
+    /// the client endpoint, and the follower. Served and durable state
+    /// is left exactly as-is (this is the simulator's crash model); the
+    /// directory can be re-opened afterwards.
+    ///
+    /// Replication stops first: by the time a client sees this node
+    /// fail, it ships nothing more, so an election that client runs
+    /// reads each replica's final log, and a replica that has not
+    /// received a frame yet cannot receive it after losing that
+    /// election (and diverge from the winner). Semi-sync writers are
+    /// woken only then, so none answers before the sessions are gone,
+    /// and none holds the client endpoint's shutdown up.
     ///
     /// `kill` is the node's teardown API and must be called explicitly:
     /// session and follower threads hold the node alive, so there is no
@@ -617,9 +626,6 @@ impl ReplNode {
         // must not be held across `NetServer::shutdown`, which takes
         // `net.server.accept` (rank 65).
         let threads = std::mem::take(&mut *self.node_threads.lock());
-        if let Some(net) = threads.net {
-            net.shutdown();
-        }
         // Wake the follower, the accept loop's backoff and the sessions.
         self.cut_follower(None);
         self.engine.stop_tails();
@@ -633,16 +639,20 @@ impl ReplNode {
                 join_not_self(handle);
             }
         }
-        if let Some(handle) = threads.follower {
-            join_not_self(handle);
-        }
+        // The accept loop is gone, so no session starts after this.
         let sessions = std::mem::take(&mut *self.sessions.lock());
-        self.acked.notify_all();
         for s in &sessions {
             let _ = s.shared.sock.shutdown(Shutdown::Both);
         }
         for s in sessions {
             join_not_self(s.handle);
+        }
+        self.acked.notify_all();
+        if let Some(net) = threads.net {
+            net.shutdown();
+        }
+        if let Some(handle) = threads.follower {
+            join_not_self(handle);
         }
     }
 
@@ -918,6 +928,7 @@ fn run_follow(node: &Arc<ReplNode>, mut conn: FrameConn) -> Result<FollowExit> {
         rs.lineage = ack.lineage.clone();
     }
     store_lineage(&node.dir, &ack.lineage)?;
+    let batches = node.server.metrics().registry().counter("repl.batches");
     loop {
         // No deadline: an idle primary ships nothing for as long as it
         // likes; `kill`, `promote` and `refollow` cut the socket.
@@ -925,27 +936,29 @@ fn run_follow(node: &Arc<ReplNode>, mut conn: FrameConn) -> Result<FollowExit> {
         if node.role() == ReplRole::Primary {
             return Ok(FollowExit::Stop);
         }
-        for (lsn, record) in decode_batch(&body)? {
-            // The LSN gate is the idempotency mechanism: a frame the log
-            // refuses (duplicate delivery, reconnection re-send) must not
-            // be applied either — version-keyed replay alone would
-            // resurrect a record whose delete came later. An
-            // out-of-order LSN (a gap) errors here, dropping the session;
-            // the reconnect handshake re-synchronizes.
-            if node.engine.append_replicated(lsn, &record)? {
-                #[cfg(test)]
-                if let Some(hook) = node.before_apply.get() {
-                    hook(lsn);
-                }
-                node.server.apply_replicated(&record)?;
-                node.applied_lsn.fetch_max(lsn, Ordering::AcqRel);
+        // Every frame's CRC is checked and its record decoded before any
+        // frame is staged: a bad frame refuses the whole batch.
+        let frames = decode_batch(&body)?;
+        // The LSN gate is the idempotency mechanism: a frame the log
+        // refuses (duplicate delivery, reconnection re-send) must not be
+        // applied either — version-keyed replay alone would resurrect a
+        // record whose delete came later. A gap errors before anything is
+        // staged, dropping the session; the reconnect handshake
+        // re-synchronizes. The accepted frames are durable (one write,
+        // one fsync) before the first of them is applied.
+        for f in node.engine.append_replicated(&frames)? {
+            #[cfg(test)]
+            if let Some(hook) = node.before_apply.get() {
+                hook(f.lsn);
             }
+            node.server.apply_replicated(&f.record)?;
+            node.applied_lsn.fetch_max(f.lsn, Ordering::AcqRel);
         }
-        let durable = node.engine.flush()?;
+        batches.inc();
         conn.send(
             FrameKind::ReplAck,
             &Ack {
-                durable_lsn: durable,
+                durable_lsn: node.engine.durable_lsn(),
             }
             .encode(),
         )?;
@@ -1183,6 +1196,155 @@ mod tests {
         });
         assert_eq!(replica.status().last_lsn, 5);
         replica.kill();
+    }
+
+    /// A batch whose middle frame has a bad CRC, or whose frames skip an
+    /// LSN, is refused whole: the replica's log and its served state both
+    /// stay where the previous batch left them, and its next session
+    /// resumes from there.
+    #[test]
+    fn a_batch_with_a_bad_middle_frame_leaves_log_and_served_state_agreeing() {
+        let rdir = scratch_dir("repl-badmid-r");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let batch = |range: std::ops::Range<u64>| {
+            let frames: Vec<_> = range
+                .map(|lsn| {
+                    let record = WalRecord::CreateTable {
+                        table: format!("t{lsn}"),
+                    };
+                    (lsn, record)
+                })
+                .collect();
+            encode_batch(&frames)
+        };
+        // 4 and 6 with a corrupt 5 between them; then 4 and 6 alone.
+        let mut corrupt = batch(5..6);
+        let last = corrupt.len() - 1;
+        corrupt[last] ^= 0x01;
+        let bad_crc = [batch(4..5), corrupt, batch(6..7)].concat();
+        let gapped = [batch(4..5), batch(6..7)].concat();
+
+        let (refused, refused_rx) = std::sync::mpsc::channel::<u64>();
+        let (go, go_rx) = std::sync::mpsc::channel::<()>();
+        let fake_primary = std::thread::spawn(move || {
+            let deadline = || Some(Instant::now() + HANDSHAKE_TIMEOUT);
+            // The pre-open probe, three follower sessions: a good batch
+            // then the bad-CRC batch, the gapped batch, a clean resend.
+            for session in 0..4 {
+                let (sock, _) = listener.accept().unwrap();
+                let mut conn = FrameConn::new(sock).unwrap();
+                let hello =
+                    Hello::decode(&conn.recv(FrameKind::ReplHello, deadline()).unwrap()).unwrap();
+                let ack = HelloAck {
+                    lineage: Lineage::bootstrap(),
+                    resume_from: hello.last_lsn,
+                };
+                conn.send(FrameKind::ReplHelloAck, &ack.encode()).unwrap();
+                let poisoned = match session {
+                    0 => continue,
+                    1 => {
+                        conn.send(FrameKind::ReplFrames, &batch(1..4)).unwrap();
+                        let a = conn.recv(FrameKind::ReplAck, deadline()).unwrap();
+                        assert_eq!(Ack::decode(&a).unwrap().durable_lsn, 3);
+                        &bad_crc
+                    }
+                    2 => &gapped,
+                    _ => {
+                        conn.send(FrameKind::ReplFrames, &batch(4..7)).unwrap();
+                        let a = conn.recv(FrameKind::ReplAck, deadline()).unwrap();
+                        return (hello.last_lsn, Ack::decode(&a).unwrap().durable_lsn);
+                    }
+                };
+                // The replica drops the session instead of acking.
+                conn.send(FrameKind::ReplFrames, poisoned).unwrap();
+                assert!(conn.recv(FrameKind::ReplAck, deadline()).is_err());
+                refused.send(hello.last_lsn).unwrap();
+                go_rx.recv().unwrap();
+            }
+            unreachable!("the last session returns")
+        });
+
+        let replica = ReplNode::open_replica(&rdir, addr, cfg()).unwrap();
+        for (poisoned, began_at) in [("bad crc", 0), ("gap", 3)] {
+            assert_eq!(refused_rx.recv().unwrap(), began_at, "{poisoned}");
+            assert_eq!(replica.status().last_lsn, 3, "{poisoned}: nothing staged");
+            assert_eq!(replica.engine.durable_lsn(), 3, "{poisoned}");
+            let tables = replica.server().database().table_names();
+            assert!(tables.contains(&"t3".to_string()), "{poisoned}");
+            assert!(
+                !tables.contains(&"t4".to_string()),
+                "{poisoned}: 4 not served"
+            );
+            go.send(()).unwrap();
+        }
+        let (resumed_at, acked) = fake_primary.join().unwrap();
+        assert_eq!((resumed_at, acked), (3, 6));
+        wait_until("frames 4..=6 served", || {
+            replica.server().database().table_names().len() == 6
+        });
+        assert_eq!(replica.status().durable_lsn, 6);
+        replica.kill();
+    }
+
+    /// Counters scraped from `node` through `Request::Metrics` on its
+    /// client endpoint.
+    fn scrape(node: &ReplNode) -> quaestor_obs::MetricsSnapshot {
+        quaestor_net::RemoteService::connect(
+            node.client_addr(),
+            quaestor_net::RemoteServiceConfig::default(),
+        )
+        .unwrap()
+        .node_metrics()
+        .unwrap()
+    }
+
+    /// The bytes of every WAL segment under a node directory, in LSN order.
+    fn log_bytes(dir: &Path) -> Vec<u8> {
+        quaestor_durability::wal::list_segments(&dir.join("wal"))
+            .unwrap()
+            .iter()
+            .flat_map(|(_, path)| std::fs::read(path).unwrap())
+            .collect()
+    }
+
+    /// A replica group-commits each shipped batch (one fsync each, read
+    /// through `Request::Metrics`), a flush with nothing new costs none,
+    /// and its log holds the primary's frames byte for byte.
+    #[test]
+    fn a_replica_fsyncs_once_per_batch_and_logs_the_primarys_bytes() {
+        let pdir = scratch_dir("repl-gc-p");
+        let rdir = scratch_dir("repl-gc-r");
+        let primary = ReplNode::open_primary(&pdir, cfg()).unwrap();
+        // A create-table frame and 599 inserts: batches of 256, 256, 88.
+        for i in 0..599 {
+            primary
+                .insert("t", &format!("r{i}"), doc! { "n" => i })
+                .unwrap();
+        }
+        let replica = ReplNode::open_replica(&rdir, primary.repl_addr(), cfg()).unwrap();
+        // The replica acks a batch after it counted it.
+        let acked = |lsn| primary.max_session_ack() == lsn;
+        wait_until("replica catch-up", || acked(600));
+        let m = scrape(&replica);
+        assert_eq!(m.counter("repl.batches"), Some(3));
+        assert_eq!(m.counter("durability.fsyncs"), Some(3), "one per batch");
+        assert_eq!(m.counter("durability.frames_written"), Some(600));
+        // One more write ships as one more batch, with one more fsync.
+        primary.insert("t", "late", doc! { "n" => -1 }).unwrap();
+        wait_until("late write", || acked(601));
+        let remote = quaestor_net::RemoteService::connect(
+            replica.client_addr(),
+            quaestor_net::RemoteServiceConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(remote.flush().unwrap(), 601, "nothing new to flush");
+        let m = scrape(&replica);
+        assert_eq!(m.counter("repl.batches"), Some(4));
+        assert_eq!(m.counter("durability.fsyncs"), Some(4));
+        assert_eq!(log_bytes(&rdir), log_bytes(&pdir));
+        replica.kill();
+        primary.kill();
     }
 
     /// Satellite: a torn tail on the replica's *own* WAL (crash mid-ack)
@@ -1423,15 +1585,6 @@ mod tests {
         shipping.insert("t", "a", doc! { "n" => 1 }).unwrap();
         alone.insert("t", "a", doc! { "n" => 1 }).unwrap();
         wait_until("replica catch-up", || caught_up(&shipping, &replica));
-        let scrape = |node: &ReplNode| {
-            quaestor_net::RemoteService::connect(
-                node.client_addr(),
-                quaestor_net::RemoteServiceConfig::default(),
-            )
-            .unwrap()
-            .node_metrics()
-            .unwrap()
-        };
         assert!(scrape(&shipping).gauge("repl.lag_frames").is_some());
         assert_eq!(scrape(&alone).gauge("repl.lag_frames"), None);
         replica.kill();

@@ -12,8 +12,9 @@
 //! * `ReplFrames` bodies — a batch of durability WAL frames in LSN
 //!   order, byte-identical to the on-disk WAL (`[len][crc][lsn][record]`
 //!   per frame): the primary ships the bytes its log tail reads, and the
-//!   replica unpacks them with [`decode_batch`], so a replica persists
-//!   exactly what the primary logged.
+//!   replica checks and decodes them with [`decode_batch`] and appends
+//!   each frame's bytes as received, so a replica persists exactly what
+//!   the primary logged.
 //! * [`Ack`] — replica → primary: the highest LSN now applied *and*
 //!   durable on the replica's own log.
 //!
@@ -23,8 +24,8 @@
 //! error and the session is torn down.
 
 use quaestor_common::{Error, Result};
-use quaestor_durability::codec::{Reader, WalRecord, Writer};
-use quaestor_durability::frame::{read_frame, FrameRead};
+use quaestor_durability::codec::{Reader, Writer};
+use quaestor_durability::ShippedFrame;
 
 /// Ceiling on the number of `(epoch, start_lsn)` entries a [`HelloAck`]
 /// may carry. A lineage grows by one entry per failover; thousands of
@@ -167,6 +168,7 @@ pub struct HelloAck {
 
 impl HelloAck {
     /// The primary's current epoch (the lineage's newest entry).
+    #[cfg(test)]
     pub fn epoch(&self) -> u64 {
         self.lineage.current_epoch()
     }
@@ -219,7 +221,7 @@ impl Ack {
 /// Pack WAL frames into one `ReplFrames` body, in the given (LSN) order
 /// (a primary ships its log's bytes instead; tests script batches).
 #[cfg(test)]
-pub(crate) fn encode_batch(frames: &[(u64, WalRecord)]) -> Vec<u8> {
+pub(crate) fn encode_batch(frames: &[(u64, quaestor_durability::WalRecord)]) -> Vec<u8> {
     use quaestor_durability::frame::encode_frame;
     let mut out = Vec::new();
     for (lsn, record) in frames {
@@ -228,28 +230,20 @@ pub(crate) fn encode_batch(frames: &[(u64, WalRecord)]) -> Vec<u8> {
     out
 }
 
-/// Unpack a `ReplFrames` body. The outer net frame's CRC already passed,
-/// so a bad inner frame is a protocol violation, not a torn tail — the
-/// whole batch is rejected.
+/// Unpack a `ReplFrames` body: check each WAL frame's CRC once, decode
+/// its record, and keep its bytes for the replica's log. The outer net
+/// frame's CRC already passed, so a bad inner frame is a protocol
+/// violation, not a torn tail — the whole batch is rejected before any of
+/// it is staged.
 // analyze: allow(depth-cap) iterative walk over length-delimited frames; record decode caps depth internally
-pub fn decode_batch(body: &[u8]) -> Result<Vec<(u64, WalRecord)>> {
-    let mut out = Vec::new();
-    let mut offset = 0;
-    loop {
-        match read_frame(body, offset) {
-            FrameRead::Frame { lsn, record, size } => {
-                out.push((lsn, record));
-                offset += size;
-            }
-            FrameRead::Eof => return Ok(out),
-            FrameRead::BadTail(e) => return Err(violation("frame batch", e)),
-        }
-    }
+pub fn decode_batch(body: &[u8]) -> Result<Vec<ShippedFrame<'_>>> {
+    ShippedFrame::parse_batch(body).map_err(|e| violation("frame batch", e))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quaestor_durability::WalRecord;
 
     fn rec(table: &str) -> WalRecord {
         WalRecord::CreateTable {
@@ -334,8 +328,12 @@ mod tests {
         let back = decode_batch(&body).unwrap();
         assert_eq!(back.len(), 3);
         assert_eq!(
-            back.iter().map(|(l, _)| *l).collect::<Vec<_>>(),
+            back.iter().map(|f| f.lsn).collect::<Vec<_>>(),
             vec![4, 5, 6]
+        );
+        assert_eq!(
+            back.iter().map(|f| f.bytes).collect::<Vec<_>>().concat(),
+            body
         );
         assert!(decode_batch(&[]).unwrap().is_empty());
     }

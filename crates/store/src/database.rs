@@ -179,11 +179,6 @@ impl Database {
         self.changes.subscribe()
     }
 
-    /// The shared change stream handle.
-    pub fn change_stream(&self) -> &Arc<ChangeStream> {
-        &self.changes
-    }
-
     /// Total record count across tables.
     pub fn total_records(&self) -> usize {
         self.tables.read().values().map(|t| t.len()).sum()

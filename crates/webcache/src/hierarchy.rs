@@ -82,11 +82,6 @@ impl CacheHierarchy {
         self.layers.len()
     }
 
-    /// Kind of level `i`.
-    pub fn layer_kind(&self, i: usize) -> Option<LayerKind> {
-        self.layers.get(i).map(|l| l.kind())
-    }
-
     /// Fetch `key` at `now` with the given mode; `origin` is invoked on a
     /// full miss and must return the authoritative fresh entry. The
     /// response is stored at every level the request traversed (standard
