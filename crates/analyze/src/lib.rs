@@ -12,6 +12,9 @@
 //!   hierarchy in `analyze/lock-order.toml`.
 //! * `depth-cap` — `get_*`/`decode_*` pub fns in the codec files must
 //!   evidence a recursion-depth cap.
+//! * `lock-rank-lists` — the runtime rank table, `analyze/lock-order.toml`
+//!   and the rank table in `crates/analyze/DESIGN.md` list the same
+//!   `(name, rank)` pairs.
 //! * `bad-allow` — every suppression needs a reason.
 //!
 //! Suppression: `// analyze: allow(<rule>) <reason>` on the offending
@@ -20,6 +23,7 @@
 
 pub mod config;
 pub mod lexer;
+pub mod ranks;
 pub mod rules;
 
 use std::path::{Path, PathBuf};
@@ -69,6 +73,7 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
         };
         diags.extend(rules::lint_source(&info, &src, &cfg));
     }
+    diags.extend(ranks::lint(root, &cfg)?);
     diags.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Ok(diags)
 }

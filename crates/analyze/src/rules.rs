@@ -21,6 +21,7 @@ pub const RULE_NAMES: &[&str] = &[
     "lock-order",
     "depth-cap",
     "blocking-in-loop",
+    "lock-rank-lists",
     "bad-allow",
 ];
 

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use quaestor_analyze::rules::{lint_source, FileInfo};
-use quaestor_analyze::{config, Config};
+use quaestor_analyze::{config, ranks, Config};
 
 /// A config shaped like the workspace's, scoped to the fixture idents.
 fn cfg() -> Config {
@@ -146,35 +146,10 @@ fn workspace_config_parses_and_orders_the_real_hierarchy() {
     assert!(cfg.locks.windows(2).all(|w| w[0].rank < w[1].rank));
 }
 
-/// `(name, rank)` pairs of the runtime table: every
-/// `: LockRank = ("name", rank)` constant in `lock_rank.rs`.
-fn runtime_ranks(src: &str) -> BTreeSet<(String, u32)> {
-    src.split(": LockRank = (")
-        .skip(1)
-        .map(|rest| {
-            let (tuple, _) = rest.split_once(')').expect("closing paren");
-            let (name, rank) = tuple.split_once(',').expect("name, rank");
-            let name = name.trim().trim_matches('"').to_owned();
-            (name, rank.trim().parse().expect("numeric rank"))
-        })
-        .collect()
-}
-
-/// `(name, rank)` pairs of the `| rank | `name` | ... |` rows in the
-/// DESIGN.md rank table.
-fn documented_ranks(doc: &str) -> BTreeSet<(String, u32)> {
-    let table = doc
-        .split_once("## Lock-rank hierarchy")
-        .expect("rank table section")
-        .1;
-    table
-        .lines()
-        .filter_map(|line| {
-            let mut cells = line.split('|').skip(1).map(str::trim);
-            let rank = cells.next()?.parse().ok()?;
-            let name = cells.next()?.trim_matches('`').to_owned();
-            Some((name, rank))
-        })
+fn pairs(list: &ranks::RankList) -> BTreeSet<(String, u32)> {
+    list.entries
+        .iter()
+        .map(|l| (l.name.clone(), l.rank))
         .collect()
 }
 
@@ -182,14 +157,53 @@ fn documented_ranks(doc: &str) -> BTreeSet<(String, u32)> {
 fn lock_rank_lists_agree() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect(rel);
-    let runtime = runtime_ranks(&read("crates/common/src/lock_rank.rs"));
+    let runtime = pairs(&ranks::runtime_ranks(&read(ranks::RUNTIME_TABLE)));
     let cfg = Config::load(&root.join("analyze/lock-order.toml")).expect("lock-order.toml");
     let configured: BTreeSet<(String, u32)> =
         cfg.locks.iter().map(|l| (l.name.clone(), l.rank)).collect();
-    let documented = documented_ranks(&read("crates/analyze/DESIGN.md"));
+    let documented = pairs(&ranks::documented_ranks(&read(ranks::DOCUMENTED_TABLE)));
     assert!(!runtime.is_empty());
     assert_eq!(runtime, configured, "lock_rank.rs vs lock-order.toml");
     assert_eq!(runtime, documented, "lock_rank.rs vs analyze/DESIGN.md");
+}
+
+#[test]
+fn rank_mismatch_fixtures_are_flagged_where_they_disagree() {
+    let runtime = ranks::runtime_ranks(include_str!("fixtures/rank_mismatch.rs"));
+    let found: Vec<(u32, String)> = ranks::check(&cfg(), "lock_rank.rs", &runtime)
+        .into_iter()
+        .inspect(|d| assert_eq!(d.rule, "lock-rank-lists"))
+        .map(|d| (d.line, d.message))
+        .collect();
+    assert_eq!(
+        found,
+        vec![
+            (
+                6,
+                "`store.index` (rank 35) is not declared in analyze/lock-order.toml".into()
+            ),
+            (
+                7,
+                "`store.extra` (rank 50) is not declared in analyze/lock-order.toml".into()
+            ),
+            (
+                1,
+                "`store.index` (rank 30) from analyze/lock-order.toml is missing here".into()
+            ),
+        ]
+    );
+    let documented = ranks::documented_ranks(include_str!("fixtures/rank_mismatch.md"));
+    let found: Vec<(u32, String)> = ranks::check(&cfg(), "DESIGN.md", &documented)
+        .into_iter()
+        .map(|d| (d.line, d.message))
+        .collect();
+    assert_eq!(
+        found,
+        vec![(
+            3,
+            "`store.index` (rank 30) from analyze/lock-order.toml is missing here".into()
+        )]
+    );
 }
 
 // --- CLI exit codes, against throwaway mini-workspaces -----------------
@@ -245,6 +259,28 @@ fn cli_exits_nonzero_with_named_positions_on_a_dirty_workspace() {
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("2 diagnostic(s)"), "stderr: {stderr}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn cli_flags_a_rank_list_that_disagrees_with_the_config() {
+    let root = mini_workspace("ranks", "pub fn f() {}\n");
+    let common = root.join("crates/common/src");
+    std::fs::create_dir_all(&common).expect("mkdir common");
+    // Declares demo.shard but not demo.index.
+    std::fs::write(
+        common.join("lock_rank.rs"),
+        "pub const SHARD: LockRank = (\"demo.shard\", 20);\n",
+    )
+    .expect("lock_rank.rs");
+    let out = run_lint(&root);
+    assert_eq!(out.status.code(), Some(1), "expected exit 1");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout
+            .contains("crates/common/src/lock_rank.rs:1: [lock-rank-lists] `demo.index` (rank 30)"),
+        "stdout: {stdout}"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 

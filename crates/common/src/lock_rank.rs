@@ -10,8 +10,9 @@
 //!
 //! The static linter (`cargo run -p quaestor-analyze -- lint`) checks a
 //! token-level projection of the same hierarchy from
-//! `analyze/lock-order.toml`. Keep all three in sync: this table, that
-//! TOML file, and `crates/analyze/DESIGN.md`.
+//! `analyze/lock-order.toml`, and its `lock-rank-lists` rule fails unless
+//! this table, that TOML file and the table in `crates/analyze/DESIGN.md`
+//! list the same `(name, rank)` pairs.
 //!
 //! Rank gaps are deliberate — new locks slot in between existing ones
 //! without renumbering the world.
@@ -44,8 +45,6 @@ pub const STORE_INDEX: LockRank = ("store.index", 30);
 /// `Database::sink` / `Table::sink` — the shared durability-sink slot,
 /// read while a shard write lock (and the index lock path) is active.
 pub const STORE_SINK: LockRank = ("store.sink", 40);
-/// `ChangeStream::taps` — publish fan-out, called under the sink read.
-pub const STORE_CHANGES: LockRank = ("store.changes", 45);
 /// `DurabilityEngine::state` — WAL writer state; appends run under a
 /// shard write lock via the sink.
 pub const DURABILITY_WAL: LockRank = ("durability.wal", 55);

@@ -1,7 +1,6 @@
 //! Server configuration.
 
 use quaestor_bloom::BloomParams;
-use quaestor_invalidb::ClusterConfig;
 use quaestor_ttl::{CostModel, EstimatorConfig};
 
 /// All tunables of a Quaestor deployment.
@@ -14,10 +13,9 @@ pub struct ServerConfig {
     pub estimator: EstimatorConfig,
     /// id-list vs object-list pricing.
     pub cost: CostModel,
-    /// InvaliDB grid geometry and capacity.
-    pub invalidb: ClusterConfig,
     /// Admission slots for actively matched queries (the capacity
-    /// management model of §4.1).
+    /// management model of §4.1): the one cap on the queries InvaliDB
+    /// holds.
     pub max_cached_queries: usize,
 }
 
@@ -27,7 +25,6 @@ impl Default for ServerConfig {
             bloom: BloomParams::PAPER_DEFAULT,
             estimator: EstimatorConfig::default(),
             cost: CostModel::default(),
-            invalidb: ClusterConfig::default(),
             max_cached_queries: 50_000,
         }
     }

@@ -8,7 +8,7 @@ use quaestor_store::QueryStats;
 ///
 /// Every field is a [`Counter`] registered on a per-server [`Registry`]
 /// under a `server.*` name. The registry also holds the store planner's
-/// [`QueryStats`] counters, bound at construction; the InvaliDB grid
+/// [`QueryStats`] counters, bound at construction; InvaliDB's match
 /// totals are added to the scrape by `QuaestorServer::metrics_snapshot`.
 #[derive(Debug)]
 pub struct ServerMetrics {

@@ -98,7 +98,7 @@ impl QuaestorServer {
             active: ActiveList::new(16),
             capacity: CapacityManager::new(config.max_cached_queries),
             cost: config.cost,
-            invalidb: InvaliDbCluster::new(config.invalidb),
+            invalidb: InvaliDbCluster::default(),
             cdns: RwLock::new(Vec::new()),
             streams: quaestor_kv::PubSub::new(),
             durability,
@@ -276,51 +276,41 @@ impl QuaestorServer {
     /// dropped from the durable set instead of failing the open.
     fn reregister_recovered(&self, query: Query) -> Result<()> {
         let key = QueryKey::of(&query);
-        let admitted = match self.capacity.request_admission(&key) {
-            AdmissionDecision::Admitted => true,
-            AdmissionDecision::AdmittedEvicting(victim) => {
-                self.evict_query(&victim)?;
-                true
-            }
-            AdmissionDecision::Rejected => false,
-        };
-        if admitted {
-            self.db.create_table(&query.table);
-            let mark = self.invalidb.ingest_mark();
-            let initial = if query.is_stateful() {
-                let mut unwindowed = query.clone();
-                unwindowed.limit = None;
-                unwindowed.offset = 0;
-                self.db.query(&unwindowed)?
-            } else {
-                self.db.query(&query)?
-            };
-            match self.invalidb.register_query(&query, &key, &initial, mark) {
-                Ok(_) => {
-                    self.active.set_registered(&key, true);
-                    // Warm EBF residency: caches may hold this query's
-                    // pre-crash result, and the read ledger died with the
-                    // old process. Assume the worst-case TTL so future
-                    // invalidations of those copies reach the sketch.
-                    self.ebf.report_read(
-                        &query.table,
-                        key.as_str(),
-                        self.config.estimator.max_ttl_ms,
-                    );
-                    return Ok(());
+        match self.capacity.request_admission(&key) {
+            AdmissionDecision::Admitted => {}
+            AdmissionDecision::AdmittedEvicting(victim) => self.evict_query(&victim)?,
+            AdmissionDecision::Rejected => {
+                // Not re-registered: drop it from the durable set so the
+                // next recovery does not retry a query this deployment
+                // cannot hold. (Replicas never self-append: their LSNs
+                // must stay the primary's.)
+                if !self.is_replica() {
+                    if let Some(d) = &self.durability {
+                        d.log_deregister_query(&key)?;
+                    }
                 }
-                Err(Error::Capacity(_)) => {}
-                Err(e) => return Err(e),
+                return Ok(());
             }
         }
-        // Not re-registered: drop it from the durable set so the next
-        // recovery does not retry a query this deployment cannot hold.
-        // (Replicas never self-append: their LSNs must stay the primary's.)
-        if !self.is_replica() {
-            if let Some(d) = &self.durability {
-                d.log_deregister_query(&key)?;
-            }
-        }
+        self.db.create_table(&query.table);
+        let mark = self.invalidb.ingest_mark();
+        let initial = if query.is_stateful() {
+            let mut unwindowed = query.clone();
+            unwindowed.limit = None;
+            unwindowed.offset = 0;
+            self.db.query(&unwindowed)?
+        } else {
+            self.db.query(&query)?
+        };
+        // Nothing serves yet, so no write can have raced the evaluation:
+        // the replay has nothing to report.
+        self.invalidb.register_query(&query, &key, &initial, mark);
+        // Warm EBF residency: caches may hold this query's pre-crash
+        // result, and the read ledger died with the old process. Assume
+        // the worst-case TTL so future invalidations of those copies reach
+        // the sketch.
+        self.ebf
+            .report_read(&query.table, key.as_str(), self.config.estimator.max_ttl_ms);
         Ok(())
     }
 
@@ -352,9 +342,9 @@ impl QuaestorServer {
     }
 
     /// The node's registry snapshot — the [`Request::Metrics`] payload.
-    /// The two InvaliDB grid totals join it here, at scrape time:
-    /// summing them takes every matching-node lock in the grid, which
-    /// must stay off the per-write path.
+    /// InvaliDB's two match totals join it here, at scrape time: they
+    /// live on the matching node, and copying them into counters would
+    /// put work on the per-write path.
     ///
     /// [`Request::Metrics`]: crate::Request::Metrics
     pub fn metrics_snapshot(&self) -> quaestor_obs::MetricsSnapshot {
@@ -561,19 +551,18 @@ impl QuaestorServer {
 
         // Register with InvaliDB. A query that is already registered gets
         // its matching state replaced by this evaluation's result, then
-        // the writes that raced the evaluation are replayed (see
-        // `InvaliDbCluster::register_query`). Stateful queries need the
-        // full unwindowed matching set.
-        let raced = if query.is_stateful() {
+        // the writes that raced the evaluation are replayed against it
+        // (see `InvaliDbCluster::register_query`). Stateful queries need
+        // the full unwindowed matching set.
+        let replay = if query.is_stateful() {
             let mut unwindowed = query.clone();
             unwindowed.limit = None;
             unwindowed.offset = 0;
             let initial = self.db.query(&unwindowed)?;
-            self.invalidb.register_query(query, &key, &initial, mark)?
+            self.invalidb.register_query(query, &key, &initial, mark)
         } else {
-            self.invalidb.register_query(query, &key, &docs, mark)?
+            self.invalidb.register_query(query, &key, &docs, mark)
         };
-        self.active.set_registered(&key, true);
         // Durable registration: recovery re-registers the query so its
         // cached copies keep being invalidated after a restart. (No-op
         // frame-wise when the query is already in the durable set.
@@ -591,8 +580,15 @@ impl QuaestorServer {
         ebf.report_read(key.as_str(), ttl_ms);
         self.active
             .on_origin_read(&key, ttl_ms, representation, now);
-        for n in raced {
+        for n in replay.raced {
             self.apply_notification(&n);
+        }
+        // Raced writes fell out of the replay window: this result may be
+        // stale already. Flag and purge it like a raced invalidation, but
+        // feed no TTL sample: no write was seen to end its lifetime.
+        if replay.overrun {
+            ebf.invalidate(key.as_str());
+            self.purge(&key);
         }
 
         // Per-record side effect: "all records in a result are inserted
@@ -950,11 +946,10 @@ mod tests {
     fn capacity_rejection_serves_uncacheable() {
         let clock = ManualClock::new();
         let db = Database::with_clock(clock.clone());
-        let mut cfg = ServerConfig {
+        let cfg = ServerConfig {
             max_cached_queries: 1,
             ..ServerConfig::default()
         };
-        cfg.invalidb.max_queries = 1;
         let s = QuaestorServer::new(db, cfg, clock.clone());
         s.insert("t", "a", doc! { "n" => 1 }).unwrap();
         let q1 = Query::table("t").filter(Filter::eq("n", 1));
@@ -965,6 +960,34 @@ mod tests {
         let q2 = Query::table("t").filter(Filter::eq("n", 2));
         let r2 = s.query(&q2).unwrap();
         assert_eq!(r2.ttl_ms, 0, "rejected, so uncacheable");
+    }
+
+    #[test]
+    fn vetoed_write_does_not_fan_out() {
+        struct Veto;
+        impl quaestor_store::WriteSink for Veto {
+            fn append(&self, _event: &WriteEvent) -> Result<u64> {
+                Err(Error::Io("disk full".into()))
+            }
+        }
+        let clock = ManualClock::new();
+        let db = Database::with_clock(clock.clone());
+        db.attach_sink(Arc::new(Veto));
+        let s = QuaestorServer::new(db, ServerConfig::default(), clock);
+        let q = Query::table("posts").filter(Filter::contains("tags", "x"));
+        assert!(s.query(&q).unwrap().ttl_ms > 0, "registered with InvaliDB");
+        let err = s.insert("posts", "p1", tagged("p1", &["x"])).unwrap_err();
+        assert_eq!(err.status_code(), 500);
+        // The write was never acknowledged, so nothing downstream of the
+        // store heard of it.
+        assert_eq!(s.metrics().writes.get(), 0);
+        assert_eq!(s.metrics().record_invalidations.get(), 0);
+        assert_eq!(s.metrics().query_invalidations.get(), 0);
+        assert_eq!(s.invalidb.ingest_mark(), 0, "InvaliDB ingested nothing");
+        assert_eq!(
+            s.metrics_snapshot().counter("server.match_evaluations"),
+            Some(0)
+        );
     }
 
     #[test]

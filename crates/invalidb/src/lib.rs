@@ -19,11 +19,15 @@
 //!   registered queries (see `DESIGN.md`).
 //! * [`SortedQueryState`] — the order-maintaining layer for stateful
 //!   queries (ORDER BY / LIMIT / OFFSET), "partitioned by query".
-//! * [`InvaliDbCluster`] — the grid plus ingestion: query registration
-//!   (with initial-result seeding and a replay buffer closing the
-//!   activation race), change-stream routing, capacity accounting.
-//! * [`pipeline`] — a threaded deployment of the cluster used by the
-//!   Figure 12 scalability benchmark (real threads, wall-clock latency).
+//! * [`InvaliDbCluster`] — the inline deployment a server runs: one
+//!   matching node and the sorted layer, fed every write by the server.
+//!   A registration seeds the query with its initial result, then replays
+//!   the buffered writes that raced the evaluation against that query
+//!   alone; the window is a constant ([`REPLAY_WINDOW`]), and a mark older
+//!   than the window is reported as an overrun.
+//! * [`pipeline`] — query partitioning in real threads: each matching
+//!   node is a thread with its own share of the queries. It measures how
+//!   matching scales with nodes for Figure 12 (wall-clock latency).
 //!
 //! The paper runs this on Apache Storm; the substance — the partitioning
 //! scheme and its linear scalability — is independent of Storm and is
@@ -35,7 +39,7 @@ pub mod matching;
 pub mod pipeline;
 pub mod sorted;
 
-pub use cluster::{ClusterConfig, InvaliDbCluster};
+pub use cluster::{InvaliDbCluster, Replay, REPLAY_WINDOW};
 pub use event::{Notification, NotificationEvent};
 pub use matching::MatchingNode;
 pub use pipeline::{PipelineConfig, PipelineReport, ThreadedPipeline};

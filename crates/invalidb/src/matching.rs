@@ -1,12 +1,12 @@
-//! One cell of the matching grid: stateless-query matching with
-//! was-match/is-match state, accelerated by a **query predicate index**.
+//! One matching node: stateless-query matching with was-match/is-match
+//! state, accelerated by a **query predicate index**.
 //!
 //! The paper scales matching by partitioning queries and objects across a
-//! grid (Figure 6); within one cell this module makes the per-event cost
-//! sub-linear in the number of registered queries. Every query whose
-//! normalized filter pins a field to a single equality value is filed
-//! under `(path, value)` in a hash index; an incoming after-image then
-//! only has to be evaluated against
+//! grid of such nodes (Figure 6); within one node this module makes the
+//! per-event cost sub-linear in the number of registered queries. Every
+//! query whose normalized filter pins a field to a single equality value
+//! is filed under `(path, value)` in a hash index; an incoming after-image
+//! then only has to be evaluated against
 //!
 //! 1. the queries filed under a `(path, value)` pair the image actually
 //!    carries (exact-match candidates),
@@ -338,41 +338,30 @@ impl MatchingNode {
             candidates.dedup();
         }
         self.evaluations_skipped += (table.all.len() - candidates.len()) as u64;
+        self.evaluations += candidates.len() as u64;
         for &slot in &candidates {
             let reg = self.slots[slot as usize].as_mut().expect("live slot");
-            self.evaluations += 1;
-            let was = reg.matching.contains(event.id.as_ref());
-            let is = event.kind != WriteKind::Delete
-                && matcher::matches(&reg.query.filter, &event.image);
-            let notify = match (was, is) {
-                (false, true) => {
-                    reg.matching.insert(event.id.clone());
-                    table
-                        .matched_by
-                        .entry(event.id.clone())
-                        .or_default()
-                        .insert(slot);
-                    Some(NotificationEvent::Add)
-                }
-                (true, false) => {
-                    reg.matching.remove(event.id.as_ref());
-                    unlink(&mut table.matched_by, &event.id, slot);
-                    Some(NotificationEvent::Remove)
-                }
-                (true, true) => Some(NotificationEvent::Change),
-                (false, false) => None,
-            };
-            if let Some(ev) = notify {
-                out.push(Notification {
-                    query: reg.key.clone(),
-                    event: ev,
-                    record_id: event.id.clone(),
-                    at: event.at,
-                });
-            }
+            out.extend(step(reg, slot, &mut table.matched_by, event));
         }
         self.scratch = candidates;
         out
+    }
+
+    /// Match one event against the registered query `key` alone: the
+    /// per-query step of [`process`](Self::process), without consulting
+    /// or touching any other query. A registration replays the events
+    /// that raced its evaluation through this, so no other query sees an
+    /// event twice. `None` if `key` is not registered, the event is on
+    /// another table, or the query's state did not change.
+    pub fn process_query(&mut self, key: &QueryKey, event: &WriteEvent) -> Option<Notification> {
+        let &slot = self.by_key.get(key)?;
+        let reg = self.slots[slot as usize].as_mut().expect("live slot");
+        if reg.query.table != *event.table {
+            return None;
+        }
+        let table = self.tables.get_mut(event.table.as_ref())?;
+        self.evaluations += 1;
+        step(reg, slot, &mut table.matched_by, event)
     }
 
     /// Current matching ids of a query within this partition (tests).
@@ -386,6 +375,39 @@ impl MatchingNode {
     }
 }
 
+/// "Is Match? / Was Match?" for one query (in `slot`) and one event:
+/// update the query's matching set and the table's was-match index, and
+/// report the transition.
+fn step(
+    reg: &mut RegisteredQuery,
+    slot: Slot,
+    matched_by: &mut FxHashMap<Arc<str>, FxHashSet<Slot>>,
+    event: &WriteEvent,
+) -> Option<Notification> {
+    let was = reg.matching.contains(event.id.as_ref());
+    let is = event.kind != WriteKind::Delete && matcher::matches(&reg.query.filter, &event.image);
+    let notify = match (was, is) {
+        (false, true) => {
+            reg.matching.insert(event.id.clone());
+            matched_by.entry(event.id.clone()).or_default().insert(slot);
+            NotificationEvent::Add
+        }
+        (true, false) => {
+            reg.matching.remove(event.id.as_ref());
+            unlink(matched_by, &event.id, slot);
+            NotificationEvent::Remove
+        }
+        (true, true) => NotificationEvent::Change,
+        (false, false) => return None,
+    };
+    Some(Notification {
+        query: reg.key.clone(),
+        event: notify,
+        record_id: event.id.clone(),
+        at: event.at,
+    })
+}
+
 /// Drop `slot` from the was-match entry of record `id`, and the entry
 /// itself once no query matches the record.
 fn unlink(matched_by: &mut FxHashMap<Arc<str>, FxHashSet<Slot>>, id: &str, slot: Slot) {
@@ -397,7 +419,7 @@ fn unlink(matched_by: &mut FxHashMap<Arc<str>, FxHashSet<Slot>>, id: &str, slot:
     }
 }
 
-/// Convenience for tests and the inline cluster: build a [`WriteEvent`].
+/// Convenience for tests: build a [`WriteEvent`].
 pub fn write_event(
     table: &str,
     id: &str,

@@ -1,7 +1,7 @@
-//! Re-registering a live stateless query takes an in-place path: each
-//! grid cell's matching set is overwritten with the fresh initial ids and
-//! only the buffered events after the mark are replayed. This property
-//! drives two clusters through the same operations; one re-registers by
+//! Re-registering a live stateless query takes an in-place path: its
+//! matching set is overwritten with the fresh initial ids and only the
+//! buffered events after the mark are replayed. This property drives two
+//! clusters through the same operations; one re-registers by
 //! `deregister_query` + `register_query` (a full rebuild), the other by
 //! `register_query` alone (in place). Every observable must agree.
 
@@ -10,12 +10,16 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use quaestor_document::{doc, Document};
 use quaestor_invalidb::matching::write_event;
-use quaestor_invalidb::{ClusterConfig, InvaliDbCluster, Notification};
+use quaestor_invalidb::{InvaliDbCluster, Notification, REPLAY_WINDOW};
 use quaestor_query::{Filter, Query, QueryKey};
 use quaestor_store::WriteKind;
 
 /// Record ids `r0..r{RECORDS}`.
 const RECORDS: usize = 8;
+
+/// Writes in one [`Op::Burst`]: more than the replay window holds, so a
+/// later registration can hold a mark older than every buffered event.
+const BURST: usize = REPLAY_WINDOW + 44;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -34,6 +38,8 @@ enum Op {
         n: i64,
     },
     Delete(usize),
+    /// [`BURST`] writes cycling over the records, starting at `from`.
+    Burst(usize),
 }
 
 /// Stateless queries: two served by the equality index, one residual
@@ -49,26 +55,19 @@ fn queries() -> Vec<Query> {
 
 fn arb_op() -> BoxedStrategy<Op> {
     prop_oneof![
-        (0usize..4, any::<u8>(), 0u64..10).prop_map(|(q, members, behind)| Op::Register {
-            q,
-            members,
-            behind
-        }),
+        (
+            0usize..4,
+            any::<u8>(),
+            // Marks just behind the present, and marks around the edge of
+            // the replay window.
+            prop_oneof![0u64..10, (BURST as u64 - 60)..(BURST as u64 + 20)],
+        )
+            .prop_map(|(q, members, behind)| Op::Register { q, members, behind }),
         (0usize..4).prop_map(Op::Deregister),
         (0..RECORDS, 0u8..3, 0i64..10).prop_map(|(id, tag, n)| Op::Write { id, tag, n }),
         (0..RECORDS).prop_map(Op::Delete),
+        (0..RECORDS).prop_map(Op::Burst),
     ]
-}
-
-fn cluster() -> InvaliDbCluster {
-    InvaliDbCluster::new(ClusterConfig {
-        query_partitions: 2,
-        object_partitions: 3,
-        max_queries: 16,
-        // Smaller than the largest `behind`: some marks fall before the
-        // oldest buffered event.
-        replay_buffer: 6,
-    })
 }
 
 fn record(id: usize, tag: u8, n: i64) -> Document {
@@ -84,10 +83,18 @@ proptest! {
     ) {
         let queries = queries();
         let keys: Vec<QueryKey> = queries.iter().map(QueryKey::of).collect();
-        let rebuilt = cluster();
-        let in_place = cluster();
+        let rebuilt = InvaliDbCluster::default();
+        let in_place = InvaliDbCluster::default();
         let mut store: Vec<Option<Document>> = vec![None; RECORDS];
         let mut seq = 0;
+        let write = |store: &mut Vec<Option<Document>>, seq: &mut u64, id: usize, tag: u8, n: i64| {
+            *seq += 1;
+            let kind = if store[id].is_some() { WriteKind::Update } else { WriteKind::Insert };
+            let image = record(id, tag, n);
+            store[id] = Some(image.clone());
+            let event = write_event("t", &format!("r{id}"), kind, image, *seq);
+            (rebuilt.on_write(&event), in_place.on_write(&event))
+        };
         for op in ops {
             let (a, b): (Vec<Notification>, Vec<Notification>) = match op {
                 Op::Register { q, members, behind } => {
@@ -98,10 +105,10 @@ proptest! {
                     let mark = rebuilt.ingest_mark().saturating_sub(behind);
                     prop_assert_eq!(mark, in_place.ingest_mark().saturating_sub(behind));
                     rebuilt.deregister_query(&keys[q]);
-                    (
-                        rebuilt.register_query(&queries[q], &keys[q], &initial, mark).unwrap(),
-                        in_place.register_query(&queries[q], &keys[q], &initial, mark).unwrap(),
-                    )
+                    let a = rebuilt.register_query(&queries[q], &keys[q], &initial, mark);
+                    let b = in_place.register_query(&queries[q], &keys[q], &initial, mark);
+                    prop_assert_eq!(a.overrun, b.overrun);
+                    (a.raced, b.raced)
                 }
                 Op::Deregister(q) => {
                     prop_assert_eq!(
@@ -110,14 +117,7 @@ proptest! {
                     );
                     (Vec::new(), Vec::new())
                 }
-                Op::Write { id, tag, n } => {
-                    seq += 1;
-                    let kind = if store[id].is_some() { WriteKind::Update } else { WriteKind::Insert };
-                    let image = record(id, tag, n);
-                    store[id] = Some(image.clone());
-                    let event = write_event("t", &format!("r{id}"), kind, image, seq);
-                    (rebuilt.on_write(&event), in_place.on_write(&event))
-                }
+                Op::Write { id, tag, n } => write(&mut store, &mut seq, id, tag, n),
                 Op::Delete(id) => match store[id].take() {
                     Some(before) => {
                         seq += 1;
@@ -126,6 +126,16 @@ proptest! {
                     }
                     None => (Vec::new(), Vec::new()),
                 },
+                Op::Burst(from) => {
+                    let (mut a, mut b) = (Vec::new(), Vec::new());
+                    for i in 0..BURST {
+                        let id = (from + i) % RECORDS;
+                        let (x, y) = write(&mut store, &mut seq, id, (i % 3) as u8, (i % 10) as i64);
+                        a.extend(x);
+                        b.extend(y);
+                    }
+                    (a, b)
+                }
             };
             prop_assert_eq!(a, b);
             prop_assert_eq!(rebuilt.query_count(), in_place.query_count());

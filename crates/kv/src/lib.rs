@@ -1,7 +1,6 @@
 //! Publish/subscribe channels.
 //!
-//! The paper uses Redis message queues between Quaestor and InvaliDB
-//! (§4.1) and serves clients' query change streams over websockets
+//! The paper serves clients' query change streams over websockets
 //! (§3.2). [`PubSub`] is the in-process fan-out bus that stands in for
 //! them: it carries the server's per-query change streams and the remote
 //! client's materialised stream subscriptions.

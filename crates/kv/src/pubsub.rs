@@ -1,9 +1,10 @@
 //! Publish/subscribe channels.
 //!
-//! Quaestor and InvaliDB communicate "through Redis message queues"
-//! (§4.1), and clients "can directly subscribe to websocket-based query
-//! result change streams" (§3.2). Both are served by this fan-out bus:
-//! publishing clones the message to every live subscriber. Each
+//! Clients "can directly subscribe to websocket-based query result change
+//! streams" (§3.2); this fan-out bus serves them: publishing clones the
+//! message to every live subscriber. (The paper's Redis queues between
+//! Quaestor and InvaliDB (§4.1) have no counterpart here: the server
+//! calls InvaliDB inline with the event each write returns.) Each
 //! [`Subscription`] carries an alive flag cleared on drop; dead
 //! subscribers and emptied channel entries are pruned both on publish
 //! and on subscribe, so a bus with churning subscribers never leaks.

@@ -1,4 +1,4 @@
-//! The database: a set of named tables sharing one change stream.
+//! The database: a set of named tables sharing one durability sink.
 
 use std::sync::Arc;
 
@@ -8,7 +8,6 @@ use quaestor_common::{ClockRef, Error, FxHashMap, Result, SystemClock};
 use quaestor_document::Path;
 use quaestor_query::Query;
 
-use crate::changes::{ChangeStream, ChangeSubscription};
 use crate::index::IndexKind;
 use crate::plan::{QueryStats, QueryStatsRef};
 use crate::sink::WriteSink;
@@ -16,11 +15,10 @@ use crate::table::{new_sink_slot, SinkSlot, StoredRecord, Table};
 
 /// A multi-table document database.
 ///
-/// All tables publish their writes into one [`ChangeStream`], which is
-/// what InvaliDB's changestream-ingestion tasks subscribe to.
+/// A write on any table returns its [`WriteEvent`](crate::WriteEvent);
+/// the server hands that event to InvaliDB.
 pub struct Database {
     tables: RwLock<FxHashMap<String, Arc<Table>>>,
-    changes: Arc<ChangeStream>,
     /// The attached durability sink, shared with every table. Swappable
     /// at runtime so recovery can replay *before* attaching the log.
     sink: SinkSlot,
@@ -63,7 +61,6 @@ impl Database {
                 lock_rank::STORE_DB_TABLES.0,
                 lock_rank::STORE_DB_TABLES.1,
             ),
-            changes: Arc::new(ChangeStream::new()),
             sink: new_sink_slot(),
             index_registry: RwLock::with_rank(
                 FxHashMap::default(),
@@ -100,7 +97,6 @@ impl Database {
                     Arc::new(Table::new(
                         name.to_owned(),
                         self.shards_per_table,
-                        self.changes.clone(),
                         self.sink.clone(),
                         self.clock.clone(),
                         self.query_stats.clone(),
@@ -174,11 +170,6 @@ impl Database {
         Ok(self.table(&query.table)?.query_records(query))
     }
 
-    /// Subscribe to the global change stream (all tables).
-    pub fn subscribe_changes(&self) -> ChangeSubscription {
-        self.changes.subscribe()
-    }
-
     /// Total record count across tables.
     pub fn total_records(&self) -> usize {
         self.tables.read().values().map(|t| t.len()).sum()
@@ -205,18 +196,6 @@ mod tests {
         assert!(matches!(db.table("nope"), Err(Error::UnknownTable(_))));
         let q = Query::table("nope");
         assert!(db.query(&q).is_err());
-    }
-
-    #[test]
-    fn change_stream_spans_tables() {
-        let db = Database::new();
-        let sub = db.subscribe_changes();
-        db.create_table("a").insert("1", doc! { "x" => 1 }).unwrap();
-        db.create_table("b").insert("2", doc! { "x" => 2 }).unwrap();
-        let events = sub.drain();
-        assert_eq!(events.len(), 2);
-        let tables: Vec<&str> = events.iter().map(|e| e.table.as_ref()).collect();
-        assert!(tables.contains(&"a") && tables.contains(&"b"));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! that index candidate sets never miss a match.
 //!
 //! Posting lists hold interned `Arc<str>` ids — the same interning the
-//! write path uses for [`WriteEvent.id`](crate::changes::WriteEvent) and
+//! write path uses for [`WriteEvent.id`](crate::event::WriteEvent) and
 //! the table's shard maps — so collecting candidates is refcount bumps,
 //! not string allocations.
 

@@ -15,10 +15,10 @@
 //! * **Monotonic writes**: a per-record version sequence and a global
 //!   sequence number per table; "monotonic writes ... are assumed to be
 //!   given by the database" (§3.2).
-//! * A **change stream of after-images**: "InvaliDB continuously matches
+//! * **After-images with every write**: "InvaliDB continuously matches
 //!   record after-images provided with each incoming write operation"
-//!   (§4.1). Every insert/update/delete is published as a [`WriteEvent`]
-//!   carrying the full after-image.
+//!   (§4.1). Every insert/update/delete returns a [`WriteEvent`] carrying
+//!   the full after-image; the server hands it to InvaliDB.
 //! * A **durability seam**: an attachable [`WriteSink`] observes every
 //!   write synchronously *before* acknowledgement (how
 //!   `quaestor-durability` write-ahead-logs the store), and version-keyed
@@ -26,15 +26,15 @@
 //!   [`Table::set_seq_floor`]) let crash recovery rebuild tables
 //!   idempotently on the existing `seq` total order.
 
-pub mod changes;
 pub mod database;
+pub mod event;
 pub mod index;
 pub mod plan;
 pub mod sink;
 pub mod table;
 
-pub use changes::{ChangeStream, WriteEvent, WriteKind};
 pub use database::Database;
+pub use event::{WriteEvent, WriteKind};
 pub use index::{HashIndex, IndexKind, OrderedIndex};
 pub use plan::{AccessPath, QueryPlan, QueryStats, SortStrategy};
 pub use sink::WriteSink;

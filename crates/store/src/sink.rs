@@ -1,9 +1,7 @@
 //! The durability hook: a synchronous observer on the write path.
 //!
-//! Unlike [`ChangeStream`](crate::ChangeStream) subscribers — which are
-//! asynchronous fan-out consumers that may lag arbitrarily — a
-//! [`WriteSink`] is called *inline*, after the in-memory apply but before
-//! the write is acknowledged to the caller. That placement is what turns
+//! A [`WriteSink`] is called *inline*, after the in-memory apply but
+//! before the write is acknowledged to the caller. That placement is what turns
 //! an attached write-ahead log into a real durability guarantee: under an
 //! always-fsync policy, a write that returned `Ok` is on disk.
 //!
@@ -12,7 +10,7 @@
 
 use quaestor_common::Result;
 
-use crate::changes::WriteEvent;
+use crate::event::WriteEvent;
 
 /// A synchronous observer of every write, called before acknowledgement.
 ///

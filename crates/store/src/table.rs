@@ -9,7 +9,7 @@ use quaestor_common::{fx_hash_str, ClockRef, Error, FxHashMap, Result, Timestamp
 use quaestor_document::{Document, Path, Update, Value};
 use quaestor_query::{matcher, Order, Query, SortKey};
 
-use crate::changes::{ChangeStream, WriteEvent, WriteKind};
+use crate::event::{WriteEvent, WriteKind};
 use crate::index::{HashIndex, IndexKind, IndexSet, OrderedIndex, RangeBounds};
 use crate::plan::{
     paginate, plan_query, AccessDetail, QueryPlan, QueryStatsRef, SortStrategy, TopK,
@@ -48,22 +48,21 @@ pub struct StoredRecord {
 
 #[derive(Default)]
 struct Shard {
-    /// Keys are interned `Arc<str>` so every published [`WriteEvent`] can
+    /// Keys are interned `Arc<str>` so every returned [`WriteEvent`] can
     /// carry the id by refcount bump instead of a fresh allocation.
     map: FxHashMap<Arc<str>, StoredRecord>,
 }
 
 /// A table of documents, sharded by hashed primary key.
 ///
-/// All mutation methods publish a [`WriteEvent`] with the after-image to
-/// the table's [`ChangeStream`], which InvaliDB ingests.
+/// Every mutation method returns the [`WriteEvent`] it produced, with the
+/// after-image; the server hands it to InvaliDB.
 pub struct Table {
     name: Arc<str>,
     shards: Vec<RwLock<Shard>>,
     indexes: RwLock<IndexSet>,
     stats: QueryStatsRef,
     seq: AtomicU64,
-    changes: Arc<ChangeStream>,
     sink: SinkSlot,
     clock: ClockRef,
 }
@@ -81,7 +80,6 @@ impl Table {
     pub(crate) fn new(
         name: String,
         shards: usize,
-        changes: Arc<ChangeStream>,
         sink: SinkSlot,
         clock: ClockRef,
         stats: QueryStatsRef,
@@ -105,7 +103,6 @@ impl Table {
             ),
             stats,
             seq: AtomicU64::new(0),
-            changes,
             sink,
             clock,
         }
@@ -203,14 +200,14 @@ impl Table {
         self.indexes.write().remove(id, doc);
     }
 
-    /// Stage the event with the attached sink and fan it out. Callers
+    /// Build the write's event and stage it with the attached sink. Callers
     /// invoke this while still holding the record's shard write lock:
     /// same-record events must reach the log in *apply order*, or a
     /// delete + re-insert (which resets the version to 1) could replay
     /// as insert-then-delete and lose the acknowledged re-insert. Only
     /// the cheap staging happens under the lock — the fsync half lives
     /// in [`commit_pending`](Self::commit_pending).
-    fn publish(
+    fn stage(
         &self,
         id: Arc<str>,
         kind: WriteKind,
@@ -240,7 +237,6 @@ impl Table {
             }
             None => None,
         };
-        self.changes.publish(event.clone());
         Ok((event, pending))
     }
 
@@ -278,7 +274,7 @@ impl Table {
             },
         );
         self.index_insert(&key, &arc);
-        let (event, pending) = self.publish(key, WriteKind::Insert, arc, 1, now)?;
+        let (event, pending) = self.stage(key, WriteKind::Insert, arc, 1, now)?;
         drop(shard);
         Self::commit_pending(pending)?;
         Ok(event)
@@ -331,7 +327,7 @@ impl Table {
         rec.updated_at = now;
         let version = rec.version;
         self.index_update(&key, &old, &new);
-        let (event, pending) = self.publish(key, WriteKind::Update, new, version, now)?;
+        let (event, pending) = self.stage(key, WriteKind::Update, new, version, now)?;
         drop(shard);
         Self::commit_pending(pending)?;
         Ok(event)
@@ -373,7 +369,7 @@ impl Table {
         rec.updated_at = now;
         let version = rec.version;
         self.index_update(&key, &old, &arc);
-        let (event, pending) = self.publish(key, WriteKind::Update, arc, version, now)?;
+        let (event, pending) = self.stage(key, WriteKind::Update, arc, version, now)?;
         drop(shard);
         Self::commit_pending(pending)?;
         Ok(event)
@@ -400,7 +396,7 @@ impl Table {
         let (key, rec) = shard.map.remove_entry(id).unwrap();
         let (old, version) = (rec.doc, rec.version);
         self.index_remove(id, &old);
-        let (event, pending) = self.publish(key, WriteKind::Delete, old, version, now)?;
+        let (event, pending) = self.stage(key, WriteKind::Delete, old, version, now)?;
         drop(shard);
         Self::commit_pending(pending)?;
         Ok(event)
@@ -724,8 +720,8 @@ impl Table {
         self.seq.fetch_max(seq, Ordering::SeqCst);
     }
 
-    /// Restore one record exactly as snapshotted: no event is published,
-    /// no sink is invoked, version and timestamp are taken verbatim.
+    /// Restore one record exactly as snapshotted: no event is made, no
+    /// sink is invoked, version and timestamp are taken verbatim.
     pub fn restore_record(&self, id: &str, doc: Arc<Document>, version: Version, at: Timestamp) {
         let key: Arc<str> = Arc::from(id);
         {
@@ -746,8 +742,8 @@ impl Table {
     /// version (and raising the seq floor to the recorded `seq`): the
     /// event applies only if it is *newer* than the in-memory record, so
     /// replay is idempotent and robust to log frames whose append order
-    /// raced the in-memory apply order. No event is published and no sink
-    /// is invoked. Returns true if the event changed state.
+    /// raced the in-memory apply order. No event is made and no sink is
+    /// invoked. Returns true if the event changed state.
     pub fn apply_recovered_write(
         &self,
         kind: WriteKind,
@@ -900,25 +896,19 @@ mod tests {
     use quaestor_document::doc;
     use quaestor_query::{Filter, Order};
 
-    fn table() -> (Table, Arc<ChangeStream>) {
-        let changes = Arc::new(ChangeStream::new());
-        let clock = ManualClock::new();
-        (
-            Table::new(
-                "posts".into(),
-                4,
-                changes.clone(),
-                new_sink_slot(),
-                clock,
-                QueryStatsRef::default(),
-            ),
-            changes,
+    fn table() -> Table {
+        Table::new(
+            "posts".into(),
+            4,
+            new_sink_slot(),
+            ManualClock::new(),
+            QueryStatsRef::default(),
         )
     }
 
     #[test]
     fn insert_get_roundtrip() {
-        let (t, _) = table();
+        let t = table();
         t.insert("p1", doc! { "title" => "hello" }).unwrap();
         let rec = t.get("p1").unwrap();
         assert_eq!(rec.version, 1);
@@ -928,7 +918,7 @@ mod tests {
 
     #[test]
     fn duplicate_insert_fails() {
-        let (t, _) = table();
+        let t = table();
         t.insert("p1", doc! {"a" => 1}).unwrap();
         let err = t.insert("p1", doc! {"a" => 2}).unwrap_err();
         assert_eq!(err.status_code(), 409);
@@ -936,23 +926,21 @@ mod tests {
 
     #[test]
     fn update_bumps_version_and_publishes_after_image() {
-        let (t, changes) = table();
-        let sub = changes.subscribe();
-        t.insert("p1", doc! { "likes" => 1 }).unwrap();
+        let t = table();
+        let first = t.insert("p1", doc! { "likes" => 1 }).unwrap();
         let ev = t
             .update("p1", &Update::new().inc("likes", 1.0), None)
             .unwrap();
         assert_eq!(ev.version, 2);
         assert_eq!(ev.image["likes"], Value::Int(2));
-        let events = sub.drain();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[1].kind, WriteKind::Update);
-        assert!(events[0].seq < events[1].seq, "sequence is monotonic");
+        assert_eq!(first.kind, WriteKind::Insert);
+        assert_eq!(ev.kind, WriteKind::Update);
+        assert!(first.seq < ev.seq, "sequence is monotonic");
     }
 
     #[test]
     fn occ_version_check() {
-        let (t, _) = table();
+        let t = table();
         t.insert("p1", doc! { "a" => 1 }).unwrap();
         t.update("p1", &Update::new().set("a", 2), Some(1)).unwrap();
         let err = t
@@ -963,7 +951,7 @@ mod tests {
 
     #[test]
     fn failed_update_leaves_record_untouched() {
-        let (t, _) = table();
+        let t = table();
         t.insert("p1", doc! { "title" => "post" }).unwrap();
         // $inc on a string fails after... batch containing a valid set too.
         let bad = Update::new().set("x", 1).inc("title", 1.0);
@@ -975,20 +963,19 @@ mod tests {
 
     #[test]
     fn delete_publishes_before_image() {
-        let (t, changes) = table();
-        let sub = changes.subscribe();
-        t.insert("p1", doc! { "title" => "bye" }).unwrap();
+        let t = table();
+        let first = t.insert("p1", doc! { "title" => "bye" }).unwrap();
         let ev = t.delete("p1", None).unwrap();
         assert_eq!(ev.kind, WriteKind::Delete);
         assert_eq!(ev.image["title"], Value::str("bye"));
         assert!(t.get("p1").is_none());
-        assert_eq!(sub.drain().len(), 2);
+        assert!(first.seq < ev.seq);
         assert!(t.delete("p1", None).is_err());
     }
 
     #[test]
     fn query_scan_filters_and_sorts() {
-        let (t, _) = table();
+        let t = table();
         for (id, likes) in [("a", 3), ("b", 1), ("c", 2)] {
             t.insert(id, doc! { "likes" => likes }).unwrap();
         }
@@ -1002,7 +989,7 @@ mod tests {
 
     #[test]
     fn query_uses_index_consistently_with_scan() {
-        let (t, _) = table();
+        let t = table();
         for i in 0..100 {
             let topic = if i % 3 == 0 { "db" } else { "ml" };
             t.insert(&format!("p{i}"), doc! { "topic" => topic, "n" => i })
@@ -1026,7 +1013,7 @@ mod tests {
 
     #[test]
     fn index_stays_fresh_across_updates_and_deletes() {
-        let (t, _) = table();
+        let t = table();
         t.create_index("topic");
         t.insert("p1", doc! { "topic" => "db" }).unwrap();
         t.update("p1", &Update::new().set("topic", "ml"), None)
@@ -1041,7 +1028,7 @@ mod tests {
 
     #[test]
     fn query_ids_returns_primary_keys() {
-        let (t, _) = table();
+        let t = table();
         t.insert("a", doc! { "x" => 1 }).unwrap();
         t.insert("b", doc! { "x" => 1 }).unwrap();
         let ids = t.query_ids(&Query::table("posts").filter(Filter::eq("x", 1)));
@@ -1050,7 +1037,7 @@ mod tests {
 
     #[test]
     fn offset_limit_pagination() {
-        let (t, _) = table();
+        let t = table();
         for i in 0..10 {
             t.insert(&format!("p{i:02}"), doc! { "n" => i }).unwrap();
         }
@@ -1076,27 +1063,24 @@ mod tests {
                 }
             }
         }
-        let (t, changes) = table();
+        let t = table();
         let sink = Arc::new(Veto(
             std::sync::atomic::AtomicBool::new(false),
             std::sync::atomic::AtomicU64::new(0),
         ));
         *t.sink.write() = Some(sink.clone());
-        let sub = changes.subscribe();
         t.insert("p1", doc! { "a" => 1 }).unwrap();
         assert_eq!(sink.1.load(Ordering::Relaxed), 1, "sink saw the write");
-        // Failing sink => the operation errors and nothing reaches the
-        // change stream (no ack, no downstream fan-out).
-        sub.drain();
+        // Failing sink => the operation errors: no ack, and no event for
+        // the caller to fan out.
         sink.0.store(true, Ordering::Relaxed);
         let err = t.insert("p2", doc! { "a" => 2 }).unwrap_err();
         assert_eq!(err.status_code(), 500);
-        assert!(sub.drain().is_empty(), "vetoed write must not fan out");
     }
 
     #[test]
     fn recovery_replay_is_version_keyed_and_idempotent() {
-        let (t, _) = table();
+        let t = table();
         t.restore_record(
             "p1",
             Arc::new(doc! { "_id" => "p1", "n" => 1 }),
@@ -1155,7 +1139,7 @@ mod tests {
         // The build takes every shard write lock, so a write can never
         // slip between the backfill scan and the index registration and
         // go missing from the index forever.
-        let (t, _) = table();
+        let t = table();
         let t = Arc::new(t);
         std::thread::scope(|s| {
             for w in 0..4 {
@@ -1197,7 +1181,7 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_are_safe() {
-        let (t, _) = table();
+        let t = table();
         let t = Arc::new(t);
         std::thread::scope(|s| {
             for w in 0..4 {

@@ -34,8 +34,6 @@ pub struct QueryState {
     /// When the query first appeared (rates are computed over the span
     /// since then).
     pub first_seen: Timestamp,
-    /// Whether the query is currently registered with InvaliDB.
-    pub registered: bool,
 }
 
 impl QueryState {
@@ -101,7 +99,6 @@ impl ActiveList {
             membership_changes: 0,
             value_changes: 0,
             first_seen: now,
-            registered: false,
         });
         entry.ttl_ms = ttl_ms;
         entry.last_read_at = now;
@@ -138,13 +135,6 @@ impl ActiveList {
         }
     }
 
-    /// Mark InvaliDB registration state.
-    pub fn set_registered(&self, key: &QueryKey, registered: bool) {
-        if let Some(entry) = self.shard(key).write().get_mut(key) {
-            entry.registered = registered;
-        }
-    }
-
     /// Snapshot one query's state.
     pub fn get(&self, key: &QueryKey) -> Option<QueryState> {
         self.shard(key).read().get(key).cloned()
@@ -165,8 +155,9 @@ impl ActiveList {
         self.len() == 0
     }
 
-    /// Snapshot of all entries (diagnostics; O(n)).
-    pub fn snapshot(&self) -> Vec<(QueryKey, QueryState)> {
+    /// Snapshot of all entries (O(n)).
+    #[cfg(test)]
+    fn snapshot(&self) -> Vec<(QueryKey, QueryState)> {
         let mut out = Vec::with_capacity(self.len());
         for shard in &self.shards {
             let shard = shard.read();
@@ -215,16 +206,6 @@ mod tests {
         al.set_ttl(&k, 2_500);
         assert_eq!(al.get(&k).unwrap().ttl_ms, 2_500);
         assert_eq!(al.get(&k).unwrap().representation, Representation::IdList);
-    }
-
-    #[test]
-    fn registration_flag() {
-        let al = ActiveList::new(4);
-        let k = key(1);
-        al.on_origin_read(&k, 1_000, Representation::ObjectList, ts(0));
-        assert!(!al.get(&k).unwrap().registered);
-        al.set_registered(&k, true);
-        assert!(al.get(&k).unwrap().registered);
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl CapacityManager {
         }
     }
 
-    /// Capacity bound.
-    pub fn max_slots(&self) -> usize {
-        self.max_slots
-    }
-
     /// Currently admitted queries.
     pub fn len(&self) -> usize {
         self.slots.lock().len()
@@ -131,12 +126,14 @@ impl CapacityManager {
     }
 
     /// Explicitly release a slot (query deactivated).
-    pub fn release(&self, key: &QueryKey) -> bool {
+    #[cfg(test)]
+    fn release(&self, key: &QueryKey) -> bool {
         self.slots.lock().remove(key).is_some()
     }
 
     /// Cachability score of an admitted query.
-    pub fn score(&self, key: &QueryKey) -> Option<f64> {
+    #[cfg(test)]
+    fn score(&self, key: &QueryKey) -> Option<f64> {
         self.slots.lock().get(key).map(|s| s.score())
     }
 }

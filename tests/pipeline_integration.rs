@@ -1,4 +1,4 @@
-//! Integration tests of the server-side pipeline: store → change stream →
+//! Integration tests of the server-side pipeline: store write events →
 //! InvaliDB → EBF → CDN purges, without the client SDK in the loop.
 
 use quaestor::common::ManualClock;
@@ -10,13 +10,12 @@ use std::sync::Arc;
 #[test]
 fn change_stream_orders_and_describes_writes() {
     let db = Database::new();
-    let sub = db.subscribe_changes();
     let t = db.create_table("posts");
-    t.insert("a", doc! { "n" => 1 }).unwrap();
-    t.update("a", &Update::new().inc("n", 1.0), None).unwrap();
-    t.delete("a", None).unwrap();
-    let events = sub.drain();
-    assert_eq!(events.len(), 3);
+    let events = [
+        t.insert("a", doc! { "n" => 1 }).unwrap(),
+        t.update("a", &Update::new().inc("n", 1.0), None).unwrap(),
+        t.delete("a", None).unwrap(),
+    ];
     assert_eq!(events[0].kind, WriteKind::Insert);
     assert_eq!(events[1].kind, WriteKind::Update);
     assert_eq!(events[1].image["n"], Value::Int(2), "after-image");
@@ -150,11 +149,10 @@ fn ttl_estimates_shrink_for_hot_records() {
 fn capacity_eviction_keeps_hot_queries_cached() {
     let clock = ManualClock::new();
     let db = Database::with_clock(clock.clone());
-    let mut cfg = ServerConfig {
+    let cfg = ServerConfig {
         max_cached_queries: 3,
         ..ServerConfig::default()
     };
-    cfg.invalidb.max_queries = 8;
     let server = QuaestorServer::new(db, cfg, clock.clone());
     for i in 0..20 {
         server
@@ -183,11 +181,10 @@ fn capacity_eviction_keeps_hot_queries_cached() {
 fn uncacheable_responses_never_enter_caches() {
     let clock = ManualClock::new();
     let db = Database::with_clock(clock.clone());
-    let mut cfg = ServerConfig {
+    let cfg = ServerConfig {
         max_cached_queries: 1,
         ..ServerConfig::default()
     };
-    cfg.invalidb.max_queries = 1;
     let server = QuaestorServer::new(db, cfg, clock.clone());
     let cdn = Arc::new(InvalidationCache::new("cdn", 100));
     server.register_cdn(cdn.clone());

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use quaestor::core::{Request, Response, Service, ServiceExt};
 use quaestor::document::{doc, Document, Value};
-use quaestor::invalidb::{ClusterConfig, InvaliDbCluster, NotificationEvent};
+use quaestor::invalidb::{InvaliDbCluster, NotificationEvent};
 use quaestor::query::{matcher, Filter, Op, Order, Query, QueryKey};
 use quaestor::store::Database;
 use std::sync::Arc;
@@ -204,12 +204,7 @@ proptest! {
         updates in proptest::collection::vec((0usize..10, arb_doc()), 1..20),
         filter in arb_filter(),
     ) {
-        let cluster = InvaliDbCluster::new(ClusterConfig {
-            query_partitions: 2,
-            object_partitions: 3,
-            max_queries: 16,
-            replay_buffer: 8,
-        });
+        let cluster = InvaliDbCluster::default();
         let q = Query::table("t").filter(filter.clone());
         // Seed state.
         let mut current: Vec<Option<Document>> = vec![None; 10];
@@ -222,9 +217,7 @@ proptest! {
             }
             current[i] = Some(with_id);
         }
-        cluster
-            .register_query(&q, &QueryKey::of(&q), &seeded, cluster.ingest_mark())
-            .unwrap();
+        cluster.register_query(&q, &QueryKey::of(&q), &seeded, cluster.ingest_mark());
 
         let mut seq = 100u64;
         for (slot, newdoc) in updates {
