@@ -71,11 +71,11 @@ fn query_benches(c: &mut Criterion) {
     group.bench_function("normalize", |b| b.iter(|| QueryKey::of(black_box(&q))));
     let mut d = doc! { "likes" => 42 };
     d.insert(
-        "tags".into(),
+        "tags",
         Value::Array(vec![Value::str("example"), Value::str("music")]),
     );
     d.insert(
-        "author".into(),
+        "author",
         Value::Object(
             [("name".to_string(), Value::str("ada"))]
                 .into_iter()
@@ -148,7 +148,7 @@ fn ten_docs() -> Vec<Arc<quaestor_document::Document>> {
     (0..10)
         .map(|i| {
             let mut d = config.make_doc(i, &mut rng);
-            d.insert("_id".into(), Value::Str(WorkloadConfig::doc_id(i)));
+            d.insert("_id", Value::str(WorkloadConfig::doc_id(i)));
             Arc::new(d)
         })
         .collect()

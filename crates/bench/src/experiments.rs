@@ -709,8 +709,10 @@ impl MatchIdxRow {
 
 /// The `matchidx` experiment: drive identical write streams through a
 /// predicate-indexed [`MatchingNode`] and the linear reference, at rising
-/// query counts. Asserts notification equivalence as it goes — a bench
-/// run that diverged would be measuring a bug.
+/// query counts. The events are built before timing and both nodes see
+/// them once untimed, so the wall columns time matching alone. Asserts
+/// notification equivalence as it goes — a bench run that diverged would
+/// be measuring a bug.
 pub fn matchidx_comparison(scale: Scale) -> Vec<MatchIdxRow> {
     use quaestor_invalidb::MatchingNode;
     use quaestor_query::{Filter, Query, QueryKey};
@@ -721,46 +723,60 @@ pub fn matchidx_comparison(scale: Scale) -> Vec<MatchIdxRow> {
     };
     let mut rows = Vec::new();
     for &queries in &counts {
-        let mut indexed = MatchingNode::new();
-        let mut linear = MatchingNode::linear();
-        for q in 0..queries {
-            // 90% equality (indexable), 10% range (residual): a realistic
-            // mix keeps the residual scan path honest.
-            let query = if q % 10 == 9 {
-                Query::table("stream").filter(Filter::gt("score", (q % 100) as i64))
-            } else {
-                Query::table("stream").filter(Filter::eq("tag", format!("v{q}")))
-            };
-            let key = QueryKey::of(&query);
-            indexed.register(query.clone(), key.clone(), vec![]);
-            linear.register(query, key, vec![]);
-        }
-        let make_event = |i: u64| {
-            let image = quaestor_document::doc! {
-                "_id" => format!("r{i}"),
-                "tag" => format!("v{}", (i as usize * 37) % queries),
-                "score" => (i % 100) as i64
-            };
-            quaestor_store::WriteEvent {
-                table: "stream".into(),
-                id: format!("r{i}").into(),
-                kind: quaestor_store::WriteKind::Insert,
-                image: std::sync::Arc::new(image),
-                version: 1,
-                seq: i,
-                at: quaestor_common::Timestamp::from_millis(i),
+        let nodes = || {
+            let mut indexed = MatchingNode::new();
+            let mut linear = MatchingNode::linear();
+            for q in 0..queries {
+                // 90% equality (indexable), 10% range (residual): a
+                // realistic mix keeps the residual scan path honest.
+                let query = if q % 10 == 9 {
+                    Query::table("stream").filter(Filter::gt("score", (q % 100) as i64))
+                } else {
+                    Query::table("stream").filter(Filter::eq("tag", format!("v{q}")))
+                };
+                let key = QueryKey::of(&query);
+                indexed.register(query.clone(), key.clone(), vec![]);
+                linear.register(query, key, vec![]);
             }
+            (indexed, linear)
         };
+        // Built before any timing, so the walls time matching alone.
+        let stream: Vec<quaestor_store::WriteEvent> = (0..events as u64)
+            .map(|i| {
+                let image = quaestor_document::doc! {
+                    "_id" => format!("r{i}"),
+                    "tag" => format!("v{}", (i as usize * 37) % queries),
+                    "score" => (i % 100) as i64
+                };
+                quaestor_store::WriteEvent {
+                    table: "stream".into(),
+                    id: format!("r{i}").into(),
+                    kind: quaestor_store::WriteKind::Insert,
+                    image: std::sync::Arc::new(image),
+                    version: 1,
+                    seq: i,
+                    at: quaestor_common::Timestamp::from_millis(i),
+                }
+            })
+            .collect();
+        // One untimed pass through a pair of its own warms the caches and
+        // the allocator; the timed pass starts from the same state.
+        let (mut indexed, mut linear) = nodes();
+        for event in &stream {
+            indexed.process(event);
+            linear.process(event);
+        }
+        let (mut indexed, mut linear) = nodes();
         let mut notifications = 0u64;
         let start = std::time::Instant::now();
-        for i in 0..events as u64 {
-            notifications += indexed.process(&make_event(i)).len() as u64;
+        for event in &stream {
+            notifications += indexed.process(event).len() as u64;
         }
         let indexed_wall = start.elapsed();
         let start = std::time::Instant::now();
         let mut linear_notifications = 0u64;
-        for i in 0..events as u64 {
-            linear_notifications += linear.process(&make_event(i)).len() as u64;
+        for event in &stream {
+            linear_notifications += linear.process(event).len() as u64;
         }
         let linear_wall = start.elapsed();
         assert_eq!(

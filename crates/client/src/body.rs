@@ -21,7 +21,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use quaestor_common::{Error, Result, Timestamp, Version};
 use quaestor_core::{QueryResponse, RecordResponse};
-use quaestor_document::{decode_value, write_document, write_str, Document, Value};
+use quaestor_document::{decode_value, write_document, write_str, Document, Str, Value};
 use quaestor_ttl::Representation;
 use quaestor_webcache::CacheEntry;
 
@@ -126,7 +126,7 @@ pub(crate) enum ParsedBody {
     /// An object-list: the member records.
     Objects(Vec<Document>),
     /// An id-list: the member ids, each fetched as its own record.
-    Ids(Vec<String>),
+    Ids(Vec<Str>),
 }
 
 /// Parse a cached record body.

@@ -858,7 +858,7 @@ mod tests {
     fn field_names_with_quotes_survive_cached_bodies() {
         let (server, cdn, clock) = setup();
         let mut d = doc! { "tag" => "hot" };
-        d.insert(r#"a"b"#.into(), Value::str(r#"c\d"#));
+        d.insert(r#"a"b"#, Value::str(r#"c\d"#));
         let writer = client(&server, &cdn, &clock);
         writer.insert("posts", "p1", d.clone()).unwrap();
         // Own-write cache, then origin, browser and CDN copies for other

@@ -719,8 +719,14 @@ impl MetricsLayer {
     }
 }
 
-impl Service for MetricsLayer {
-    fn call(&self, req: Request) -> Result<Response> {
+impl MetricsLayer {
+    /// Count and time `req`, handing it to the inner service through
+    /// `forward`.
+    fn observe(
+        &self,
+        req: Request,
+        forward: impl FnOnce(&dyn Service, Request) -> Result<Response>,
+    ) -> Result<Response> {
         let kind = req.kind();
         let _span = quaestor_obs::span(service_span_name(kind));
         let counter = match &req {
@@ -750,7 +756,7 @@ impl Service for MetricsLayer {
         };
         counter.inc();
         let started = Instant::now();
-        let result = self.inner.call(req);
+        let result = forward(&*self.inner, req);
         self.metrics
             .record_latency(kind, started.elapsed().as_micros() as u64);
         if result.is_err() {
@@ -766,6 +772,16 @@ impl Service for MetricsLayer {
             }
             other => other,
         }
+    }
+}
+
+impl Service for MetricsLayer {
+    fn call(&self, req: Request) -> Result<Response> {
+        self.observe(req, |inner, req| inner.call(req))
+    }
+
+    fn call_if_reachable(&self, req: Request) -> Result<Response> {
+        self.observe(req, |inner, req| inner.call_if_reachable(req))
     }
 }
 
@@ -921,8 +937,15 @@ impl ShardRouter {
     }
 }
 
-impl Service for ShardRouter {
-    fn call(&self, req: Request) -> Result<Response> {
+impl ShardRouter {
+    /// Route `req`: a single-table request goes to its shard through
+    /// `forward`; batches and fan-outs, which wait on every shard, use
+    /// `call`.
+    fn route(
+        &self,
+        req: Request,
+        forward: impl FnOnce(&dyn Service, Request) -> Result<Response>,
+    ) -> Result<Response> {
         let _span = quaestor_obs::span("router.route");
         match req {
             Request::Batch(requests) => self.split_batch(requests),
@@ -930,13 +953,23 @@ impl Service for ShardRouter {
             Request::Flush => self.fan_out_flush(),
             Request::Metrics => self.fan_out_metrics(),
             req => match req.table() {
-                Some(table) => self.shards[self.shard_for(table)].call(req),
+                Some(table) => forward(&*self.shards[self.shard_for(table)], req),
                 None => Err(Error::BadRequest(format!(
                     "cannot route table-less request '{}'",
                     req.kind()
                 ))),
             },
         }
+    }
+}
+
+impl Service for ShardRouter {
+    fn call(&self, req: Request) -> Result<Response> {
+        self.route(req, |shard, req| shard.call(req))
+    }
+
+    fn call_if_reachable(&self, req: Request) -> Result<Response> {
+        self.route(req, |shard, req| shard.call_if_reachable(req))
     }
 }
 
@@ -1357,5 +1390,65 @@ mod tests {
             .unwrap();
         let (flat, _) = svc.fetch_ebf().unwrap();
         assert!(flat.contains(QueryKey::record(&t1, "r1").as_str().as_bytes()));
+    }
+
+    /// Answers every request with an error naming the method it came in
+    /// through.
+    struct MethodProbe;
+
+    impl Service for MethodProbe {
+        fn call(&self, _req: Request) -> Result<Response> {
+            Err(Error::Internal("call".into()))
+        }
+
+        fn call_if_reachable(&self, _req: Request) -> Result<Response> {
+            Err(Error::Internal("call_if_reachable".into()))
+        }
+    }
+
+    fn method_of(result: Result<Response>) -> String {
+        match result {
+            Err(Error::Internal(method)) => method,
+            other => panic!("the probe answers with its method, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn metrics_layer_counts_and_forwards_call_if_reachable() {
+        let layer = MetricsLayer::new(Arc::new(MethodProbe));
+        let get = || Request::GetRecord {
+            table: "t".into(),
+            id: "a".into(),
+        };
+        assert_eq!(
+            method_of(layer.call_if_reachable(get())),
+            "call_if_reachable"
+        );
+        assert_eq!(method_of(layer.call(get())), "call");
+        assert_eq!(layer.metrics().record_reads.get(), 2);
+        assert_eq!(layer.metrics().errors.get(), 2);
+    }
+
+    #[test]
+    fn shard_router_forwards_call_if_reachable_for_single_table_requests() {
+        let router = ShardRouter::new(vec![Arc::new(MethodProbe), Arc::new(MethodProbe)]);
+        for table in ["a", "b", "c", "d"] {
+            let get = Request::GetRecord {
+                table: table.into(),
+                id: "x".into(),
+            };
+            assert_eq!(
+                method_of(router.call_if_reachable(get)),
+                "call_if_reachable"
+            );
+        }
+        // A batch waits on every shard it touches, through `call`'s split.
+        let batch = Request::Batch(vec![Request::GetRecord {
+            table: "a".into(),
+            id: "x".into(),
+        }]);
+        assert_eq!(method_of(router.call_if_reachable(batch)), "call");
+        // A fan-out likewise.
+        assert_eq!(method_of(router.call_if_reachable(Request::Flush)), "call");
     }
 }

@@ -780,7 +780,7 @@ mod tests {
     fn tagged(id: &str, tags: &[&str]) -> Document {
         let mut d = doc! { "kind" => "post" };
         d.insert(
-            "tags".into(),
+            "tags",
             Value::Array(tags.iter().map(|t| Value::str(*t)).collect()),
         );
         let _ = id;

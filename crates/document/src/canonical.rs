@@ -10,7 +10,9 @@
 
 use std::fmt::{self, Write as _};
 
-use crate::value::{Document, Value};
+use crate::document::Document;
+use crate::string::Str;
+use crate::value::Value;
 
 /// Hard ceiling on decoder recursion: nested arrays and objects here and
 /// in the binary WAL/wire codec, nested filter combinators there. Real
@@ -112,7 +114,12 @@ pub fn decode_value(bytes: &[u8]) -> Result<Value, DecodeError> {
         msg: "invalid utf-8",
         at: e.valid_up_to(),
     })?;
-    let mut r = Reader { text, pos: 0 };
+    let mut r = Reader {
+        text,
+        pos: 0,
+        items: Vec::with_capacity(16),
+        fields: Vec::with_capacity(8),
+    };
     r.skip_ws();
     let v = r.value_at(0)?;
     r.skip_ws();
@@ -124,12 +131,19 @@ pub fn decode_value(bytes: &[u8]) -> Result<Value, DecodeError> {
 
 /// A cursor over a body already known to be valid UTF-8, so every string
 /// run between ASCII delimiters can be copied out whole.
+///
+/// Open arrays and objects stack their elements on `items` and `fields`,
+/// innermost last, and move them into a vector of exactly their count
+/// when they close: each container allocates once, and a string of at
+/// most 22 bytes not at all.
 struct Reader<'a> {
     text: &'a str,
     pos: usize,
+    items: Vec<Value>,
+    fields: Vec<(Str, Value)>,
 }
 
-impl Reader<'_> {
+impl<'a> Reader<'a> {
     fn err(&self, msg: &'static str) -> DecodeError {
         DecodeError { msg, at: self.pos }
     }
@@ -182,74 +196,71 @@ impl Reader<'_> {
 
     fn array_at(&mut self, depth: usize) -> Result<Value, DecodeError> {
         self.pos += 1; // '['
-        let mut items = Vec::new();
+        let base = self.items.len();
         self.skip_ws();
-        if self.eat(b']') {
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value_at(depth)?);
-            self.skip_ws();
-            if self.eat(b']') {
-                return Ok(Value::Array(items));
+        if !self.eat(b']') {
+            loop {
+                self.skip_ws();
+                let item = self.value_at(depth)?;
+                self.items.push(item);
+                self.skip_ws();
+                if self.eat(b']') {
+                    break;
+                }
+                if !self.eat(b',') {
+                    return Err(self.err("expected ',' or ']'"));
+                }
             }
-            if !self.eat(b',') {
-                return Err(self.err("expected ',' or ']'"));
-            }
         }
+        Ok(Value::Array(self.items.split_off(base)))
     }
 
+    /// An object's fields, in any key order; a repeated key keeps its last
+    /// value ([`Document::from_fields`]).
     fn object_at(&mut self, depth: usize) -> Result<Document, DecodeError> {
         self.pos += 1; // '{'
-        let mut map = Document::new();
+        let base = self.fields.len();
         self.skip_ws();
-        if self.eat(b'}') {
-            return Ok(map);
+        if !self.eat(b'}') {
+            loop {
+                self.skip_ws();
+                if self.peek() != Some(b'"') {
+                    return Err(self.err("expected a key"));
+                }
+                let key = self.string()?;
+                self.skip_ws();
+                if !self.eat(b':') {
+                    return Err(self.err("expected ':'"));
+                }
+                self.skip_ws();
+                let v = self.value_at(depth)?;
+                self.fields.push((key, v));
+                self.skip_ws();
+                if self.eat(b'}') {
+                    break;
+                }
+                if !self.eat(b',') {
+                    return Err(self.err("expected ',' or '}'"));
+                }
+            }
         }
-        loop {
-            self.skip_ws();
-            if self.peek() != Some(b'"') {
-                return Err(self.err("expected a key"));
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            if !self.eat(b':') {
-                return Err(self.err("expected ':'"));
-            }
-            self.skip_ws();
-            let v = self.value_at(depth)?;
-            map.insert(key, v);
-            self.skip_ws();
-            if self.eat(b'}') {
-                return Ok(map);
-            }
-            if !self.eat(b',') {
-                return Err(self.err("expected ',' or '}'"));
-            }
-        }
+        Ok(Document::from_fields(self.fields.split_off(base)))
     }
 
-    /// A string starting at its opening quote. Each run between escapes
-    /// is copied whole: it starts and ends on an ASCII byte, so it is a
-    /// valid `&str` slice of the already-validated body.
-    fn string(&mut self) -> Result<String, DecodeError> {
-        let bytes = self.text.as_bytes();
+    /// A string starting at its opening quote. Without escapes it is one
+    /// slice of the already-validated body; with them, each run between
+    /// escapes is copied whole: it starts and ends on an ASCII byte, so it
+    /// is a valid `&str` slice.
+    fn string(&mut self) -> Result<Str, DecodeError> {
         self.pos += 1; // '"'
-        let mut out = String::new();
+        let text = self.run()?;
+        if self.eat(b'"') {
+            return Ok(Str::new(text));
+        }
+        let mut out = String::from(text);
         loop {
-            let run = self.pos;
-            let Some(len) = bytes[run..].iter().position(|&b| b == b'"' || b == b'\\') else {
-                self.pos = bytes.len();
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += len;
-            out.push_str(&self.text[run..self.pos]);
-            if bytes[self.pos] == b'"' {
-                self.pos += 1;
-                return Ok(out);
-            }
-            let Some(&esc) = bytes.get(self.pos + 1) else {
+            // At a backslash.
+            let Some(&esc) = self.text.as_bytes().get(self.pos + 1) else {
                 return Err(self.err("dangling escape"));
             };
             self.pos += 2;
@@ -265,7 +276,23 @@ impl Reader<'_> {
                 b'u' => self.unicode_escape()?,
                 _ => return Err(self.err("unknown escape")),
             });
+            out.push_str(self.run()?);
+            if self.eat(b'"') {
+                return Ok(Str::from(out));
+            }
         }
+    }
+
+    /// The run up to the next quote or backslash, which is left unread.
+    fn run(&mut self) -> Result<&'a str, DecodeError> {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        let Some(len) = bytes[start..].iter().position(|&b| b == b'"' || b == b'\\') else {
+            self.pos = bytes.len();
+            return Err(self.err("unterminated string"));
+        };
+        self.pos += len;
+        Ok(&self.text[start..self.pos])
     }
 
     /// The four hex digits after `\u`, as one scalar value.
@@ -318,6 +345,7 @@ impl Reader<'_> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::doc;
     use proptest::prelude::*;
 
     /// `serde_json` → [`Value`], as the client decoded bodies before this
@@ -330,7 +358,7 @@ pub(crate) mod tests {
                 Some(i) => Value::Int(i),
                 None => Value::Float(n.as_f64().unwrap_or(f64::NAN)),
             },
-            serde_json::Value::String(s) => Value::Str(s),
+            serde_json::Value::String(s) => Value::str(s),
             serde_json::Value::Array(a) => Value::Array(a.into_iter().map(from_json).collect()),
             serde_json::Value::Object(o) => {
                 Value::Object(o.into_iter().map(|(k, v)| (k, from_json(v))).collect())
@@ -347,11 +375,11 @@ pub(crate) mod tests {
             Value::Float(f) => serde_json::Number::from_f64(f)
                 .map(serde_json::Value::Number)
                 .unwrap_or(serde_json::Value::Null),
-            Value::Str(s) => serde_json::Value::String(s),
+            Value::Str(s) => serde_json::Value::String(s.into()),
             Value::Array(a) => serde_json::Value::Array(a.into_iter().map(to_json).collect()),
-            Value::Object(o) => {
-                serde_json::Value::Object(o.into_iter().map(|(k, v)| (k, to_json(v))).collect())
-            }
+            Value::Object(o) => serde_json::Value::Object(
+                o.into_iter().map(|(k, v)| (k.into(), to_json(v))).collect(),
+            ),
         }
     }
 
@@ -406,12 +434,13 @@ pub(crate) mod tests {
             // Past the integer rendering: 1e15 and up, tiny magnitudes.
             (15i32..300).prop_map(|e| Value::Float(10f64.powi(e) * 1.5)),
             (-300i32..-5).prop_map(|e| Value::Float(10f64.powi(e) * -3.25)),
-            STRINGS.prop_map(Value::Str),
+            STRINGS.prop_map(Value::str),
         ];
         leaf.prop_recursive(6, 48, 5, move |inner| {
             prop_oneof![
                 proptest::collection::vec(inner.clone(), 0..5).prop_map(Value::Array),
-                proptest::collection::btree_map(keys, inner, 0..5).prop_map(Value::Object),
+                proptest::collection::btree_map(keys, inner, 0..5)
+                    .prop_map(|m| Value::Object(m.into_iter().collect())),
             ]
         })
     }
@@ -521,6 +550,7 @@ pub(crate) mod tests {
             d in proptest::collection::btree_map("[a-z_]{1,6}", arb_value_keyed("[a-z_]{1,6}"), 0..6),
         ) {
             // Same bytes wherever no key holds `"` or `\`.
+            let d: Document = d.into_iter().collect();
             let mut out = String::new();
             write_document(&d, &mut out);
             let mut prev = String::new();
@@ -597,15 +627,14 @@ pub(crate) mod tests {
         // Raw control characters are accepted; a repeated key keeps its
         // last value.
         let v = decode_value(b"{\"a\":\"x\x01\ny\",\"a\":2}").unwrap();
-        assert_eq!(v, Value::Object([("a".into(), Value::Int(2))].into()));
+        assert_eq!(v, Value::Object(doc! { "a" => 2 }));
     }
 
     #[test]
     fn keys_are_escaped_like_strings() {
         let key = r#"a":1,"b"#.to_string();
-        let tricky = Value::Object([(key.clone(), Value::Int(2))].into());
-        let plain =
-            Value::Object([("a".into(), Value::Int(1)), ("b".into(), Value::Int(2))].into());
+        let tricky = Value::Object(doc! { key.as_str() => 2 });
+        let plain = Value::Object(doc! { "a" => 1, "b" => 2 });
         assert_eq!(tricky.canonical(), r#"{"a\":1,\"b":2}"#);
         assert_ne!(tricky.canonical(), plain.canonical());
         let back = decode_value(tricky.canonical().as_bytes()).unwrap();

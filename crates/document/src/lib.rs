@@ -6,9 +6,13 @@
 //! * [`Value`] — a JSON-like value with a **BSON-style total order** so
 //!   that range predicates and `ORDER BY` have well-defined semantics
 //!   across types, like MongoDB's comparison rules.
-//! * [`Document`] — an ordered map of fields with **dotted-path** access
-//!   (`author.name`, `tags.0`), the addressing scheme MongoDB predicates
-//!   use for nested documents.
+//! * [`Document`] — a record or nested object: one vector of fields
+//!   sorted by key, with the methods of an ordered map and **dotted-path**
+//!   access (`author.name`, `tags.0`), the addressing scheme MongoDB
+//!   predicates use for nested documents.
+//! * [`Str`] — the string of keys and string values: immutable, the size
+//!   of a `String`, inline up to 22 bytes, so a typical record is one
+//!   allocation for its fields plus one per long string or array.
 //! * [`update`] — partial update operators (`$set`, `$unset`, `$inc`,
 //!   `$push`, `$pull`, `$rename`), matching the "partial updates" operation
 //!   class of the paper's workloads (§6.1).
@@ -37,11 +41,15 @@
 //! so none can close its own quotes and forge a second field or member.
 
 pub mod canonical;
+pub mod document;
 pub mod path;
+pub mod string;
 pub mod update;
 pub mod value;
 
 pub use canonical::{decode_value, write_document, write_str, DecodeError, MAX_DECODE_DEPTH};
+pub use document::Document;
 pub use path::Path;
+pub use string::Str;
 pub use update::{Update, UpdateOp};
-pub use value::{Document, Value};
+pub use value::Value;

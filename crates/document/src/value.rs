@@ -1,21 +1,23 @@
-//! The [`Value`] type and [`Document`] alias.
+//! The [`Value`] type.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use crate::canonical;
+use crate::document::Document;
 use crate::path::Path;
+use crate::string::Str;
 
 /// A JSON-like value with MongoDB/BSON-flavoured total ordering.
 ///
 /// Numbers are split into `Int`/`Float` but compare numerically with each
-/// other, as in MongoDB. Objects use a `BTreeMap` so that field order is
-/// canonical — important because the *normalized query string is the cache
-/// key* in Quaestor: two structurally equal literals must serialize
-/// identically.
+/// other, as in MongoDB. Objects are [`Document`]s, whose fields stay
+/// sorted by key, so that field order is canonical — important because
+/// the *normalized query string is the cache key* in Quaestor: two
+/// structurally equal literals must serialize identically. Strings are
+/// [`Str`]s, inline up to 22 bytes; a `Value` is 32 bytes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(untagged)]
 pub enum Value {
@@ -28,16 +30,12 @@ pub enum Value {
     /// 64-bit float.
     Float(f64),
     /// UTF-8 string.
-    Str(String),
+    Str(Str),
     /// Ordered array.
     Array(Vec<Value>),
     /// Nested document with canonically sorted keys.
-    Object(BTreeMap<String, Value>),
+    Object(Document),
 }
-
-/// A record: a top-level object value. Documents always carry their primary
-/// key in the `_id` field when stored.
-pub type Document = BTreeMap<String, Value>;
 
 /// Type-rank for cross-type ordering, following BSON's canonical order:
 /// Null < Numbers < Strings < Objects < Arrays < Booleans.
@@ -54,7 +52,7 @@ fn type_rank(v: &Value) -> u8 {
 
 impl Value {
     /// String value constructor convenience.
-    pub fn str(s: impl Into<String>) -> Value {
+    pub fn str(s: impl Into<Str>) -> Value {
         Value::Str(s.into())
     }
 
@@ -102,7 +100,7 @@ impl Value {
     }
 
     /// Object view.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
+    pub fn as_object(&self) -> Option<&Document> {
         match self {
             Value::Object(o) => Some(o),
             _ => None,
@@ -234,23 +232,41 @@ impl Ord for Value {
             }
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (Value::Array(a), Value::Array(b)) => a.cmp(b),
-            (Value::Object(a), Value::Object(b)) => a.iter().cmp(b.iter()),
+            (Value::Object(a), Value::Object(b)) => a.cmp(b),
             _ => unreachable!("type ranks matched but variants differ"),
         }
     }
 }
 
 impl std::hash::Hash for Value {
+    /// Hashes what equality compares, so any two values comparing `Equal`
+    /// hash identically, and allocates nothing. Equality projects numbers
+    /// through f64, so above 2^53 an `Int` and a `Float` can compare
+    /// equal; both hash as their f64 projection. A hash map keyed on
+    /// `Value` (the store's hash index) stays exact.
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Hash through the *equality-consistent* rendering so any two
-        // values comparing `Equal` hash identically. `canonical()` is not
-        // enough: equality projects numbers through f64, so above 2^53 an
-        // `Int` and a `Float` can compare equal while their canonical
-        // strings differ — a hash map keyed on `Value` (e.g. the store's
-        // hash index) would miss the lookup.
-        let mut s = String::new();
-        self.eq_canonical_into(&mut s);
-        state.write(s.as_bytes());
+        state.write_u8(type_rank(self));
+        match self {
+            Value::Null => {}
+            Value::Bool(b) => state.write_u8(u8::from(*b)),
+            Value::Int(_) | Value::Float(_) => {
+                let f = self.as_f64().unwrap_or_default();
+                if f.is_nan() {
+                    state.write_u64(f64::NAN.to_bits());
+                } else if f.fract() == 0.0 && f.abs() < 9.0e18 {
+                    // An integral value (`-0.0` too) hashes as its integer:
+                    // the f64 bits of small integers differ only in their
+                    // high bits, and the store's multiplicative hasher
+                    // buckets by the low ones.
+                    state.write_i64(f as i64);
+                } else {
+                    state.write_u64(f.to_bits());
+                }
+            }
+            Value::Str(s) => s.hash(state),
+            Value::Array(items) => items.hash(state),
+            Value::Object(doc) => doc.hash(state),
+        }
     }
 }
 
@@ -282,12 +298,12 @@ impl From<bool> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_owned())
+        Value::Str(v.into())
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 impl<T: Into<Value>> From<Vec<T>> for Value {
@@ -308,7 +324,7 @@ macro_rules! doc {
     () => { $crate::Document::new() };
     ( $( $k:expr => $v:expr ),+ $(,)? ) => {{
         let mut m = $crate::Document::new();
-        $( m.insert($k.to_string(), $crate::Value::from($v)); )+
+        $( m.insert($k, $crate::Value::from($v)); )+
         m
     }};
 }
@@ -327,12 +343,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn obj(pairs: &[(&str, Value)]) -> Value {
-        Value::Object(
-            pairs
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        )
+        Value::Object(pairs.iter().map(|(k, v)| (*k, v.clone())).collect())
     }
 
     #[test]
@@ -348,6 +359,28 @@ mod tests {
         for w in vals.windows(2) {
             assert!(w[0] < w[1], "{} should sort before {}", w[0], w[1]);
         }
+    }
+
+    #[test]
+    fn a_value_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Value>(), 32);
+    }
+
+    /// The store's hash index is an `FxHashMap<Value, _>`, whose buckets
+    /// come from the hash's low bits: 1 024 integer keys must fill most of
+    /// 1 024 buckets, not share one.
+    #[test]
+    fn integer_keys_spread_over_the_low_bits_of_fx_hash() {
+        use std::collections::HashSet;
+        use std::hash::{Hash, Hasher};
+        let buckets: HashSet<u64> = (0..1024)
+            .map(|i| {
+                let mut h = quaestor_common::hash::FxHasher::default();
+                Value::Int(i).hash(&mut h);
+                h.finish() & 1023
+            })
+            .collect();
+        assert!(buckets.len() > 512, "{} buckets", buckets.len());
     }
 
     #[test]
@@ -470,12 +503,13 @@ mod tests {
             any::<bool>().prop_map(Value::Bool),
             any::<i64>().prop_map(Value::Int),
             (-1e12f64..1e12).prop_map(Value::Float),
-            "[a-z]{0,8}".prop_map(Value::Str),
+            "[a-z]{0,8}".prop_map(Value::str),
         ];
         leaf.prop_recursive(3, 24, 4, |inner| {
             prop_oneof![
                 proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
-                proptest::collection::btree_map("[a-z]{1,4}", inner, 0..4).prop_map(Value::Object),
+                proptest::collection::btree_map("[a-z]{1,4}", inner, 0..4)
+                    .prop_map(|m| Value::Object(m.into_iter().collect())),
             ]
         })
     }

@@ -7,10 +7,9 @@
 //! frame layer treat "decoder ran off the end" as a torn tail rather
 //! than undefined behaviour.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use quaestor_document::{Document, Path, Value};
+use quaestor_document::{Document, Path, Str, Value};
 use quaestor_query::{Filter, Op, Order, Query, SortKey};
 use quaestor_store::{WriteEvent, WriteKind};
 
@@ -93,10 +92,15 @@ impl<'a> Reader<'a> {
 
     /// Length-prefixed UTF-8 string.
     pub fn str(&mut self) -> DResult<String> {
+        self.str_ref().map(str::to_owned)
+    }
+
+    /// Length-prefixed UTF-8 string, borrowed from the input.
+    fn str_ref(&mut self) -> DResult<&'a str> {
         let n = self.u32()? as usize;
         let bytes = self.take(n)?;
         match std::str::from_utf8(bytes) {
-            Ok(s) => Ok(s.to_owned()),
+            Ok(s) => Ok(s),
             Err(_) => err("invalid utf-8 in string"),
         }
     }
@@ -249,7 +253,7 @@ fn get_value_at(r: &mut Reader<'_>, depth: usize) -> DResult<Value> {
         V_BOOL => Value::Bool(r.u8()? != 0),
         V_INT => Value::Int(r.i64()?),
         V_FLOAT => Value::Float(r.f64()?),
-        V_STR => Value::Str(r.str()?),
+        V_STR => Value::Str(Str::new(r.str_ref()?)),
         V_ARRAY => {
             let depth = deeper(depth, "value")?;
             let n = r.count("array")?;
@@ -278,15 +282,22 @@ pub fn get_document(r: &mut Reader<'_>) -> DResult<Document> {
     get_document_at(r, 0)
 }
 
+/// Fields arrive in key order, so each one is appended to a document
+/// sized for all of them; keys and strings of up to 22 bytes are built
+/// straight from the input. Out-of-order or repeated keys (hostile
+/// bytes) still decode: the last value of a key wins.
 fn get_document_at(r: &mut Reader<'_>, depth: usize) -> DResult<Document> {
     let n = r.count("document")?;
-    let mut map = BTreeMap::new();
+    // A field takes at least five bytes (a key length and a value tag),
+    // which bounds what a count may reserve.
+    let mut fields = Vec::with_capacity(n.min(r.remaining() / 5));
     for _ in 0..n {
-        let k = r.str()?;
-        let v = get_value_at(r, depth)?;
-        map.insert(k, v);
+        let k = Str::new(r.str_ref()?);
+        fields.push((k, get_value_at(r, depth)?));
     }
-    Ok(map)
+    // Fields written by `put_document` arrive in key order and are kept as
+    // they are; any other order is sorted once.
+    Ok(fields.into_iter().collect())
 }
 
 // ---- Filter / Query ------------------------------------------------------
@@ -724,6 +735,72 @@ mod tests {
         assert_eq!(d, back);
     }
 
+    /// One workload document as `put_document` writes it. The WAL,
+    /// snapshots and the wire share this encoding, so it must not move
+    /// with the in-memory document layout.
+    const GOLDEN_WORKLOAD_DOCUMENT: &str = concat!(
+        "05000000", // five fields, in key order
+        "030000005f6964040a000000646f6330303030303432", // _id: "doc0000042"
+        "0800000063617465676f7279022a00000000000000", // category: 42
+        "07000000636f756e746572020000000000000000", // counter: 0
+        "070000007061796c6f616404200000003965333737396239376634613763313566333963633036303563656463383334",
+        "0400000074616773050200000004050000007461673432040400000074616736", // tags
+    );
+
+    #[test]
+    fn a_workload_document_encodes_to_the_golden_bytes() {
+        let d = doc! {
+            "category" => 42,
+            "counter" => 0,
+            "payload" => "9e3779b97f4a7c15f39cc0605cedc834",
+            "tags" => vec!["tag42", "tag6"],
+            "_id" => "doc0000042"
+        };
+        let mut w = Writer::new();
+        put_document(&mut w, &d);
+        let bytes = w.into_bytes();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_WORKLOAD_DOCUMENT);
+        assert_eq!(get_document(&mut Reader::new(&bytes)).unwrap(), d);
+    }
+
+    #[test]
+    fn out_of_order_and_repeated_keys_decode_with_the_last_value() {
+        let mut w = Writer::new();
+        w.put_u32(3);
+        for (k, v) in [("b", 1), ("a", 2), ("b", 3)] {
+            w.put_str(k);
+            put_value(&mut w, &Value::Int(v));
+        }
+        let bytes = w.into_bytes();
+        let d = get_document(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(d, doc! { "a" => 2, "b" => 3 });
+        assert_eq!(d.keys().collect::<Vec<_>>(), ["a", "b"]);
+    }
+
+    /// A document whose keys arrive in descending order is sorted once,
+    /// not built by inserting each key at the front: at this size the
+    /// latter moves about a terabyte of fields.
+    #[test]
+    fn a_large_document_in_descending_key_order_decodes_in_key_order() {
+        let n = 200_000;
+        let key = |i: usize| format!("k{i:06}");
+        let mut w = Writer::new();
+        w.put_u32(n as u32);
+        for i in (0..n).rev() {
+            w.put_str(&key(i));
+            put_value(&mut w, &Value::Int(i as i64));
+        }
+        let bytes = w.into_bytes();
+        let d = get_document(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(d.len(), n);
+        assert!(d.keys().zip(d.keys().skip(1)).all(|(a, b)| a < b));
+        assert!(d
+            .iter()
+            .enumerate()
+            .all(|(i, (k, v))| *k == key(i) && *v == Value::Int(i as i64)));
+    }
+
     #[test]
     fn query_roundtrip_preserves_key() {
         use quaestor_query::QueryKey;
@@ -804,12 +881,13 @@ mod tests {
             any::<bool>().prop_map(Value::Bool),
             any::<i64>().prop_map(Value::Int),
             (-1e12f64..1e12).prop_map(Value::Float),
-            "[a-z\"\\\\]{0,8}".prop_map(Value::Str),
+            "[a-z\"\\\\]{0,8}".prop_map(Value::str),
         ];
         leaf.prop_recursive(3, 16, 4, |inner| {
             prop_oneof![
                 proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
-                proptest::collection::btree_map("[a-z]{1,4}", inner, 0..4).prop_map(Value::Object),
+                proptest::collection::btree_map("[a-z]{1,4}", inner, 0..4)
+                    .prop_map(|m| Value::Object(m.into_iter().collect())),
             ]
         })
     }

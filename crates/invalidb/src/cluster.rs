@@ -195,7 +195,7 @@ mod tests {
     fn post(id: &str, tags: &[&str], score: i64) -> Document {
         let mut d = doc! { "_id" => id, "score" => score };
         d.insert(
-            "tags".into(),
+            "tags",
             Value::Array(tags.iter().map(|t| Value::str(*t)).collect()),
         );
         d

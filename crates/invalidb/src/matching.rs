@@ -453,7 +453,7 @@ mod tests {
     fn post(tags: &[&str]) -> Document {
         let mut d = doc! { "title" => "post" };
         d.insert(
-            "tags".into(),
+            "tags",
             Value::Array(tags.iter().map(|t| Value::str(*t)).collect()),
         );
         d
@@ -641,7 +641,7 @@ mod tests {
         node.register(q, k, vec![]);
         let mut d = Document::new();
         d.insert(
-            "tag".into(),
+            "tag",
             Value::Array(vec![Value::str("v1"), Value::str("v3")]),
         );
         let n = node.process(&write_event("t", "r1", WriteKind::Insert, d, 1));

@@ -240,7 +240,7 @@ mod tests {
     fn in_place_update_is_change() {
         let mut s = seeded();
         let mut updated = scored("a", 30);
-        updated.insert("title".into(), quaestor_document::Value::str("new"));
+        updated.insert("title", quaestor_document::Value::str("new"));
         let n = s.process(&write_event(
             "posts",
             "a",

@@ -889,18 +889,20 @@ mod tests {
             any::<bool>().prop_map(Value::Bool),
             any::<i64>().prop_map(Value::Int),
             (-1e12f64..1e12).prop_map(Value::Float),
-            "[a-z0-9 ]{0,12}".prop_map(Value::Str),
+            "[a-z0-9 ]{0,12}".prop_map(Value::str),
         ];
         leaf.prop_recursive(2, 12, 4, |inner| {
             prop_oneof![
                 proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
-                proptest::collection::btree_map("[a-z]{1,4}", inner, 0..4).prop_map(Value::Object),
+                proptest::collection::btree_map("[a-z]{1,4}", inner, 0..4)
+                    .prop_map(|m| Value::Object(m.into_iter().collect())),
             ]
         })
     }
 
     fn arb_doc() -> impl Strategy<Value = Document> {
         proptest::collection::btree_map("[a-z_]{1,6}", arb_value(), 0..5)
+            .prop_map(|m| m.into_iter().collect())
     }
 
     fn arb_path() -> impl Strategy<Value = Path> {

@@ -153,7 +153,7 @@ mod tests {
             "author" => "ada"
         };
         d.insert(
-            "tags".into(),
+            "tags",
             Value::Array(tags.iter().map(|t| Value::str(*t)).collect()),
         );
         d

@@ -188,8 +188,14 @@ struct Decision {
     drop_response: bool,
 }
 
-impl Service for FaultInjector {
-    fn call(&self, req: Request) -> Result<Response> {
+impl FaultInjector {
+    /// Apply one seeded decision set to `req`, delivering it (once, or
+    /// twice for a duplicate) through `deliver`.
+    fn perturb(
+        &self,
+        req: Request,
+        deliver: impl Fn(&dyn Service, Request) -> Result<Response>,
+    ) -> Result<Response> {
         let d = self.decide();
         if d.sever {
             self.severed.store(true, Ordering::SeqCst);
@@ -206,14 +212,14 @@ impl Service for FaultInjector {
             self.delayed.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(pause);
         }
-        let result = self.inner.call(req.clone());
+        let result = deliver(&*self.inner, req.clone());
         self.delivered.fetch_add(1, Ordering::Relaxed);
         if d.duplicate {
             // A retransmit: deliver again, discard the second answer. The
             // caller sees the first; the layer below sees the call twice.
             self.duplicated.fetch_add(1, Ordering::Relaxed);
             self.delivered.fetch_add(1, Ordering::Relaxed);
-            let _ = self.inner.call(req);
+            let _ = deliver(&*self.inner, req);
         }
         if d.drop_response {
             self.dropped_responses.fetch_add(1, Ordering::Relaxed);
@@ -225,12 +231,70 @@ impl Service for FaultInjector {
     }
 }
 
+impl Service for FaultInjector {
+    fn call(&self, req: Request) -> Result<Response> {
+        self.perturb(req, |inner, req| inner.call(req))
+    }
+
+    /// The same faults, with every delivery made through the inner
+    /// service's `call_if_reachable`.
+    fn call_if_reachable(&self, req: Request) -> Result<Response> {
+        self.perturb(req, |inner, req| inner.call_if_reachable(req))
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use quaestor_common::ManualClock;
     use quaestor_core::{QuaestorServer, ServiceExt};
     use quaestor_document::doc;
+
+    /// Answers every request with an error naming the method it came in
+    /// through, and counts the calls.
+    #[derive(Default)]
+    pub(crate) struct MethodProbe {
+        pub(crate) calls: AtomicU64,
+    }
+
+    impl Service for MethodProbe {
+        fn call(&self, _req: Request) -> Result<Response> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            Err(Error::Internal("call".into()))
+        }
+
+        fn call_if_reachable(&self, _req: Request) -> Result<Response> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            Err(Error::Internal("call_if_reachable".into()))
+        }
+    }
+
+    #[test]
+    fn call_if_reachable_is_forwarded_with_its_faults() {
+        let probe = Arc::new(MethodProbe::default());
+        let plan = FaultPlan {
+            duplicate: 1.0,
+            ..FaultPlan::default()
+        };
+        let svc = FaultInjector::new(probe.clone(), plan, 7);
+        let got = svc.call_if_reachable(Request::ReplicationStatus);
+        assert_eq!(
+            got.unwrap_err(),
+            Error::Internal("call_if_reachable".into())
+        );
+        assert_eq!(probe.calls.load(Ordering::Relaxed), 2, "the duplicate too");
+        assert_eq!(svc.stats().duplicated, 1);
+        assert_eq!(
+            svc.call(Request::ReplicationStatus).unwrap_err(),
+            Error::Internal("call".into())
+        );
+        svc.sever();
+        assert!(matches!(
+            svc.call_if_reachable(Request::ReplicationStatus),
+            Err(Error::Net(_))
+        ));
+        assert_eq!(probe.calls.load(Ordering::Relaxed), 4);
+    }
 
     fn origin() -> Arc<QuaestorServer> {
         QuaestorServer::with_defaults(ManualClock::new())

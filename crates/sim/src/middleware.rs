@@ -90,8 +90,9 @@ impl LatencyInjector {
     }
 }
 
-impl Service for LatencyInjector {
-    fn call(&self, req: Request) -> Result<Response> {
+impl LatencyInjector {
+    /// Sample, record and (with a clock) spend one origin round trip.
+    fn charge_round_trip(&self) {
         let rtt = {
             let mut state = self.state.lock();
             let rtt = self.model.sample(&mut state.rng, ServedBy::Origin);
@@ -102,7 +103,18 @@ impl Service for LatencyInjector {
         if let Some(clock) = &self.clock {
             clock.advance(rtt);
         }
+    }
+}
+
+impl Service for LatencyInjector {
+    fn call(&self, req: Request) -> Result<Response> {
+        self.charge_round_trip();
         self.inner.call(req)
+    }
+
+    fn call_if_reachable(&self, req: Request) -> Result<Response> {
+        self.charge_round_trip();
+        self.inner.call_if_reachable(req)
     }
 }
 
@@ -112,6 +124,24 @@ mod tests {
     use quaestor_common::Clock;
     use quaestor_core::{QuaestorServer, ServiceExt};
     use quaestor_document::doc;
+
+    #[test]
+    fn call_if_reachable_is_charged_and_forwarded() {
+        use crate::fault::tests::MethodProbe;
+        use quaestor_common::Error;
+        let probe = Arc::new(MethodProbe::default());
+        let svc = LatencyInjector::new(probe.clone(), LatencyModel::default(), 7);
+        assert_eq!(
+            svc.call_if_reachable(Request::ReplicationStatus)
+                .unwrap_err(),
+            Error::Internal("call_if_reachable".into())
+        );
+        assert_eq!(
+            svc.call(Request::ReplicationStatus).unwrap_err(),
+            Error::Internal("call".into())
+        );
+        assert_eq!(svc.observed().count(), 2, "both calls paid a round trip");
+    }
 
     #[test]
     fn records_origin_rtts() {

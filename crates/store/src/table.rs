@@ -53,6 +53,13 @@ struct Shard {
     map: FxHashMap<Arc<str>, StoredRecord>,
 }
 
+/// Set `doc`'s `_id` to `id` and trim its field vector: a stored record
+/// keeps no room to grow.
+fn set_id(doc: &mut Document, id: &str) {
+    doc.insert("_id", Value::str(id));
+    doc.shrink_to_fit();
+}
+
 /// A table of documents, sharded by hashed primary key.
 ///
 /// Every mutation method returns the [`WriteEvent`] it produced, with the
@@ -254,7 +261,7 @@ impl Table {
     /// Insert a new record. The document gets an `_id` field set to `id`.
     /// Fails with [`Error::AlreadyExists`] on duplicate primary keys.
     pub fn insert(&self, id: &str, mut doc: Document) -> Result<WriteEvent> {
-        doc.insert("_id".to_owned(), Value::str(id));
+        set_id(&mut doc, id);
         let now = self.clock.now();
         let arc = Arc::new(doc);
         let key: Arc<str> = Arc::from(id);
@@ -319,7 +326,7 @@ impl Table {
         // untouched (atomicity of the update batch).
         let mut doc = (*rec.doc).clone();
         update.apply(&mut doc)?;
-        doc.insert("_id".to_owned(), Value::str(id));
+        set_id(&mut doc, id);
         let old = rec.doc.clone();
         let new = Arc::new(doc);
         rec.doc = new.clone();
@@ -340,7 +347,7 @@ impl Table {
         mut doc: Document,
         expected_version: Option<Version>,
     ) -> Result<WriteEvent> {
-        doc.insert("_id".to_owned(), Value::str(id));
+        set_id(&mut doc, id);
         let now = self.clock.now();
         let arc = Arc::new(doc);
         let mut shard = self.shard(id).write();

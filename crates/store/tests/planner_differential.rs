@@ -23,7 +23,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         (-8i64..8).prop_map(Value::Int),
         (-4i64..4).prop_map(|i| Value::Float(i as f64 + 0.5)),
-        "[a-c]{1,2}".prop_map(Value::Str),
+        "[a-c]{1,2}".prop_map(Value::str),
         Just(Value::Null),
         // Array fields: the multikey cases (implicit $elemMatch, the
         // multi-element range trap, whole-array keys).
@@ -33,6 +33,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
 
 fn arb_doc() -> impl Strategy<Value = Document> {
     proptest::collection::btree_map("[a-d]", arb_value(), 0..4)
+        .prop_map(|m| m.into_iter().collect())
 }
 
 fn arb_filter() -> impl Strategy<Value = Filter> {

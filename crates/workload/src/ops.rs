@@ -1,6 +1,6 @@
 //! Dataset population and request sampling.
 
-use quaestor_document::{doc, Document, Update};
+use quaestor_document::{Document, Update, Value};
 use quaestor_query::{Filter, Query};
 use rand::Rng;
 
@@ -99,16 +99,17 @@ impl WorkloadConfig {
     /// tag list and some payload.
     pub fn make_doc<R: Rng + ?Sized>(&self, i: usize, rng: &mut R) -> Document {
         let category = (i % self.category_domain()) as i64;
-        let mut d = doc! {
-            "category" => category,
-            "counter" => 0,
-            "payload" => format!("{:032x}", rng.gen::<u128>())
-        };
+        // Room for the `_id` the store adds, so the record is stored in
+        // this allocation.
+        let mut d = Document::with_capacity(5);
+        d.insert("category", Value::Int(category));
+        d.insert("counter", Value::Int(0));
+        d.insert("payload", Value::str(format!("{:032x}", rng.gen::<u128>())));
         d.insert(
-            "tags".into(),
-            quaestor_document::Value::Array(vec![
-                quaestor_document::Value::Str(format!("tag{}", i % 50)),
-                quaestor_document::Value::Str(format!("tag{}", (i / 7) % 50)),
+            "tags",
+            Value::array([
+                Value::str(format!("tag{}", i % 50)),
+                Value::str(format!("tag{}", (i / 7) % 50)),
             ]),
         );
         d

@@ -13,7 +13,7 @@ use std::sync::Arc;
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         (-20i64..20).prop_map(Value::Int),
-        "[a-c]{1,3}".prop_map(Value::Str),
+        "[a-c]{1,3}".prop_map(Value::str),
         Just(Value::Null),
     ]
 }
@@ -36,6 +36,7 @@ fn arb_filter() -> impl Strategy<Value = Filter> {
 
 fn arb_doc() -> impl Strategy<Value = Document> {
     proptest::collection::btree_map("[a-d]", arb_value(), 0..5)
+        .prop_map(|m| m.into_iter().collect())
 }
 
 /// One step of the predicate-index equivalence workload.
@@ -104,7 +105,7 @@ proptest! {
                     seq += 1;
                     let id = format!("r{slot}");
                     let mut with_id = d.clone();
-                    with_id.insert("_id".into(), Value::str(&id));
+                    with_id.insert("_id", Value::str(&id));
                     let kind = if alive[slot] == Some(true) {
                         quaestor::store::WriteKind::Update
                     } else {
@@ -176,7 +177,7 @@ proptest! {
             let id = format!("r{i:03}");
             table.insert(&id, d.clone()).unwrap();
             let mut with_id = d.clone();
-            with_id.insert("_id".into(), Value::str(&id));
+            with_id.insert("_id", Value::str(&id));
             reference_docs.push(with_id);
         }
         let mut q = Query::table("t")
@@ -211,7 +212,7 @@ proptest! {
         let mut seeded = Vec::new();
         for (i, d) in initial.iter().enumerate() {
             let mut with_id = d.clone();
-            with_id.insert("_id".into(), Value::str(format!("r{i}")));
+            with_id.insert("_id", Value::str(format!("r{i}")));
             if matcher::matches(&filter, &with_id) {
                 seeded.push(Arc::new(with_id.clone()));
             }
@@ -224,7 +225,7 @@ proptest! {
             seq += 1;
             let id = format!("r{slot}");
             let mut with_id = newdoc.clone();
-            with_id.insert("_id".into(), Value::str(&id));
+            with_id.insert("_id", Value::str(&id));
             let was = current[slot]
                 .as_ref()
                 .is_some_and(|d| matcher::matches(&filter, d));
@@ -269,7 +270,7 @@ proptest! {
     fn cached_bodies_roundtrip_documents(
         fields in proptest::collection::btree_map("[a-z]{1,6}", prop_oneof![
             (-1_000_000i64..1_000_000).prop_map(Value::Int),
-            "[a-zA-Z0-9 _.-]{0,16}".prop_map(Value::Str),
+            "[a-zA-Z0-9 _.-]{0,16}".prop_map(Value::str),
             any::<bool>().prop_map(Value::Bool),
             Just(Value::Null),
         ], 0..8)
@@ -279,7 +280,7 @@ proptest! {
         let server = QuaestorServer::with_defaults(clock.clone());
         let client = QuaestorClient::connect(
             server.clone(), &[], ClientConfig::default(), clock.clone());
-        let document: Document = fields;
+        let document: Document = fields.into_iter().collect();
         client.insert("t", "x", document.clone()).unwrap();
         // First read fills the browser cache; second parses the cached body.
         client.read_record("t", "x").unwrap();
@@ -302,7 +303,7 @@ proptest! {
         let server = QuaestorServer::with_defaults(clock.clone());
         server.insert("t", "x", base.clone()).unwrap();
         let mut expected = base.clone();
-        expected.insert("_id".into(), Value::str("x"));
+        expected.insert("_id", Value::str("x"));
         for (field, delta) in incs {
             let update = Update::new().inc(field.as_str(), delta);
             let server_result = server.update("t", "x", &update);

@@ -245,18 +245,20 @@ fn arb_value() -> BoxedStrategy<Value> {
         (-1e12f64..1e12).prop_map(Value::Float),
         // Integral floats render as integers.
         (-1_000_000i64..1_000_000).prop_map(|i| Value::Float(i as f64)),
-        STRINGS.prop_map(Value::Str),
+        STRINGS.prop_map(Value::str),
     ];
     leaf.prop_recursive(3, 24, 4, |inner| {
         prop_oneof![
             proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
-            proptest::collection::btree_map(STRINGS, inner, 0..4).prop_map(Value::Object),
+            proptest::collection::btree_map(STRINGS, inner, 0..4)
+                .prop_map(|m| Value::Object(m.into_iter().collect())),
         ]
     })
 }
 
 fn arb_doc() -> impl Strategy<Value = Document> {
     proptest::collection::btree_map(STRINGS, arb_value(), 0..5)
+        .prop_map(|m| m.into_iter().collect())
 }
 
 fn over_the_wire(resp: Response) -> Response {
